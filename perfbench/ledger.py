@@ -44,6 +44,18 @@ class Ledger:
     def count(self, name: str, value: float = 1) -> None:
         self.counts[name] += value
 
+    def state(self) -> dict:
+        """Self times, counts and values, for :meth:`absorb` elsewhere."""
+        return {"self_s": dict(self.self_s), "counts": dict(self.counts),
+                "values": dict(self.values)}
+
+    def absorb(self, state: dict) -> None:
+        """Add another ledger's :meth:`state`, e.g. another process's."""
+        for layer, seconds in state["self_s"].items():
+            self.self_s[layer] += seconds
+        self.counts.update(state["counts"])
+        self.values.update(state["values"])
+
     def wrap(self, layer: str, fn: Callable, calls: Optional[str] = None,
              after: Optional[After] = None) -> Callable:
         """``fn`` timed as one span of ``layer``; optional call counter."""

@@ -6,8 +6,8 @@ Usage (from the repository root)::
     python3 perfbench/steady.py --sets 1 --seeds 5 --workloads fleet-day
     python3 perfbench/steady.py --held-out
 
-Each set runs every chosen workload once per seed (seeds ``--first-seed``
-onwards), untraced and for ``run_seconds`` from ``BENCHMARK.json``,
+Each set runs every chosen workload once per seed (seeds 1 to
+``--seeds``), untraced and for ``run_seconds`` from ``BENCHMARK.json``,
 interleaving the workloads so that slow drift of the machine reaches all
 of them alike. For every workload and end-to-end metric it prints each
 set's median, quartiles and spread, ``(q3 - q1) / median``, next to the
@@ -15,9 +15,9 @@ metric's bound, and how far each later set's median moved from the
 first's in the metric's worse direction.
 
 The exit code is 1 when a run fails or is not correct, when a spread
-other than ``setup_s``'s exceeds its bound, when a later set's median is
-worse than the first's by more than the bound, or when a seed's
-deterministic counts differ between sets.
+exceeds its bound, when a later set's median is worse than the first's
+by more than the bound, or when a seed's deterministic counts differ
+between sets.
 
 ``--held-out`` runs every workload on the held-out seed, untraced and
 traced, and checks that each run is correct and that the traced run's
@@ -99,7 +99,7 @@ def report(spec: dict, runs: dict, n_sets: int) -> list:
                 q1, median, q3 = quartiles(values)
                 spread = (q3 - q1) / median
                 medians.append(median)
-                flag = "!" if spread > bound and name != "setup_s" else " "
+                flag = "!" if spread > bound else " "
                 if flag == "!":
                     problems.append(f"{workload} {name} set {s + 1}: spread "
                                     f"{spread:.3f} > bound {bound}")
@@ -167,19 +167,16 @@ def main(argv=None) -> int:
         description="Run sets of benchmark runs and compare their spread.")
     parser.add_argument("--sets", type=int, default=2)
     parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workloads", nargs="+", choices=names,
                         default=names)
     parser.add_argument("--held-out", action="store_true",
                         help="check the held-out seed instead")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write every run's result here as JSON")
     args = parser.parse_args(argv)
 
     if args.held_out:
         problems = held_out(spec, args.workloads)
     else:
-        seeds = range(args.first_seed, args.first_seed + args.seeds)
+        seeds = range(1, args.seeds + 1)
         runs = {w: [{} for _ in range(args.sets)] for w in args.workloads}
         for s in range(args.sets):
             for seed in seeds:
@@ -191,8 +188,6 @@ def main(argv=None) -> int:
                           f"{'correct' if result.get('correct') else 'FAIL'}"
                           f" in {time.monotonic() - start:.0f} s",
                           file=sys.stderr, flush=True)
-        if args.out is not None:
-            args.out.write_text(json.dumps(runs, indent=1))
         problems = check_runs(runs) + report(spec, runs, args.sets)
     for problem in problems:
         print(f"steady: {problem}")

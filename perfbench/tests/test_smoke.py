@@ -12,15 +12,21 @@ result line must be correct and carry exactly the metrics
 from __future__ import annotations
 
 import json
+import pickle
 import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import worker_env  # noqa: E402
+
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 UNIT = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
@@ -88,6 +94,25 @@ def test_counts_repeat_for_a_seed():
                    "--seconds", "1", "--trace", "0")
         counts.append(json.loads(done.stdout.strip().splitlines()[-2]))
     assert counts[0] == counts[1]
+
+
+def test_warm_fill_must_equal_the_cold_fill(tmp_path):
+    def worker(phase):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "worker.py"),
+             "--workload", "fleet-day", "--seed", "7", "--seconds", "1",
+             "--phase", phase, "--pair", str(tmp_path), "--tiny",
+             "--t0", repr(time.monotonic())],
+            cwd=tmp_path, env=worker_env(7, tmp_path),
+            stdout=subprocess.PIPE, text=True, timeout=180)
+        assert done.returncode == 0
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    assert worker("fill")["problems"] == []
+    (tmp_path / "cold.pickle").write_bytes(
+        pickle.dumps({"record": "another fill", "ledger": None}))
+    problems = worker("setup")["problems"]
+    assert any("differs from the cold fill" in p for p in problems)
 
 
 def test_fails_without_the_program(tmp_path):

@@ -1,9 +1,13 @@
 """One workload in one single-threaded process: set-up, timed loop, checks.
 
-Started by ``run.py``, never by hand. ``--phase setup`` stops once the
-first timed iteration would be ready and reports the set-up samples;
-``--phase run`` goes on to the timed loop and the correctness checks. The
-last stdout line is one JSON object for ``run.py``.
+Started by ``run.py``, never by hand, in pairs that share a directory
+(``--pair``) holding one compile cache. ``--phase fill`` fills the empty
+cache (``cold_s``) and leaves the fill's result for its partner.
+``--phase setup`` fills again through a fresh cache over the same
+directory (``warm_s``), checks the result against the cold fill's and
+stops once the first timed iteration would be ready; ``--phase run`` goes
+on to the timed loop and the correctness checks. The last stdout line is
+one JSON object for ``run.py``.
 
 With ``--trace 1`` the loop alternates untraced and traced iterations;
 traced ones run with the layer ledger installed (``ledger.py``), and the
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pickle
 import resource
 import statistics
 import sys
@@ -25,9 +30,6 @@ from calibrate import calibrate
 
 #: Fewest iterations of each kind (untraced, traced) a run measures.
 MIN_ITERATIONS = {False: 3, True: 2}
-#: Cold and warm cache fills the main process repeats after its checks,
-#: for steadier medians.
-EXTRA_PASSES = 3
 
 
 def parse_args(argv=None):
@@ -36,12 +38,12 @@ def parse_args(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--phase", choices=("setup", "run"), required=True)
+    parser.add_argument("--phase", choices=("fill", "setup", "run"),
+                        required=True)
     parser.add_argument("--tiny", action="store_true")
-    parser.add_argument("--scratch", type=Path, required=True)
+    parser.add_argument("--pair", type=Path, required=True)
     parser.add_argument("--t0", type=float, required=True,
                         help="time.monotonic() when the process was started")
-    parser.add_argument("--spans-out", type=Path, default=None)
     return parser.parse_args(argv)
 
 
@@ -51,39 +53,71 @@ def emit(payload) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    start = time.monotonic()
     first_mark = calibrate()
-    from workloads import WORKLOADS, Context, resolve_twice
+    first_spent_s = time.monotonic() - start
+    from workloads import WORKLOADS, Context, timed_fill
     import layers
     from ledger import Ledger, Patches
 
-    ctx = Context(scratch=args.scratch, seed=args.seed, tiny=args.tiny,
-                  marks=[first_mark])
+    ctx = Context(scratch=args.pair / args.phase,
+                  cache_dir=args.pair / "cache", seed=args.seed,
+                  tiny=args.tiny, marks=[first_mark],
+                  spent_s=first_spent_s)
+    ctx.scratch.mkdir()
     workload = WORKLOADS[args.workload]()
     trace = bool(args.trace)
     patches = Patches(layers.targets()) if trace else None
+    filling = args.phase == "fill"
 
     setup_ledger = Ledger()
     if trace:
         patches.install(setup_ledger)
     try:
-        samples = workload.setup(ctx)
+        workload.prepare(ctx)
+        samples, result = timed_fill(ctx, workload,
+                                     "cold" if filling else "warm")
+        if not filling:
+            workload.body(ctx, -1)
     finally:
         if trace:
             patches.remove()
     ctx.calibrate()
     # Set-up's speed is the mean of the calibrations spread through it,
     # whose own time is not set-up.
-    setup = {"setup_s": time.monotonic() - args.t0 - sum(ctx.marks),
-             **samples, "setup_calibration_s": statistics.fmean(ctx.marks)}
-    if args.phase == "setup":
-        emit(setup)
+    kind = "fill" if filling else "setup"
+    setup = {kind + "_s": time.monotonic() - args.t0 - ctx.spent_s,
+             kind + "_calibration_s": statistics.fmean(ctx.marks),
+             **samples}
+
+    # Checks of the fill, after set-up's clock has stopped.
+    record, problems = workload.record(result)
+    cold_file = args.pair / "cold.pickle"
+    if filling:
+        cold_file.write_bytes(pickle.dumps(
+            {"record": record,
+             "ledger": setup_ledger.state() if trace else None}))
+        emit({"setup": setup, "problems": problems})
         return 0
+    cold = pickle.loads(cold_file.read_bytes())
+    if record != cold["record"]:
+        problems.append("the warm cache fill's result differs from the "
+                        "cold fill's")
+    if samples["warm_hit_ratio"] != 1.0:
+        problems.append(f"the warm cache fill hit "
+                        f"{samples['warm_hit_ratio']:.3f} of its lookups, "
+                        f"not all")
+    if args.phase == "setup":
+        emit({"setup": setup, "problems": problems})
+        return 0
+    if trace:
+        setup_ledger.absorb(cold["ledger"])
 
     # traced? -> [(wall_s, calibration_s, outcome, ledger)]
     runs = {False: [], True: []}
     before_s = ctx.marks[-1]
-    problems = []
-    attempted = failed = 0
+    # The warm fill is the first operation; its problems fail it.
+    attempted, failed = 1, int(bool(problems))
     deadline = time.perf_counter() + args.seconds
     index = 0
     while True:
@@ -137,30 +171,21 @@ def main(argv=None) -> int:
                                    counts, problems)
     if problems:
         failed = max(failed, 1)
-    passes = [] if trace else [
-        resolve_twice(ctx, "pass", workload.fill_cache)[0]
-        for _ in range(EXTRA_PASSES)]
 
     untraced = runs[False]
     result = {
         "setup": setup,
         "wall_s": [w for w, _, _, _ in untraced],
         "calibration_s": [c for _, c, _, _ in untraced],
-        "passes": passes,
         "counts": counts,
         "problems": problems,
-        "attempted": max(attempted, 1),
+        "attempted": attempted,
         "failed": failed,
         "peak_rss_mb": peak_rss_mb,
     }
     if ledger_metrics is not None:
         result["per_layer"] = ledger_metrics
         result["missing_targets"] = patches.missing
-        if args.spans_out is not None:
-            last = runs[True][-1][3]
-            args.spans_out.write_text(json.dumps(
-                [dict(zip(("id", "layer", "start_s", "end_s", "parent"), s))
-                 for s in last.spans]))
     emit(result)
     return 0
 

@@ -9,15 +9,19 @@ run's scratch directory, never in the working directory's
 
 A workload's methods:
 
-* ``setup(ctx)`` builds the warm state the body expects, filling a fresh
-  compile cache, and returns the cold and warm samples of that fill;
+* ``prepare(ctx)`` makes the inputs from the seed; it touches no cache;
+* ``fill()`` is the cache fill the workload's start-up makes, as
+  ``repro serve``/``repro decode`` make it. :func:`timed_fill` runs it
+  into an empty cache in one process and again in a fresh process over
+  the same directory;
+* ``record(result)`` turns a fill's result into a comparable value and
+  the problems it shows (an unverified model); the warm fill's value
+  must equal the cold fill's;
 * ``body(ctx, index)`` is one timed iteration; it returns an
   :class:`Outcome` whose ``output`` must repeat between iterations;
 * ``check(ctx, outcomes)`` runs once per benchmark run, outside the timed
   region, and returns ``(problems, counts)``: correctness problems and
-  the deterministic counts of one iteration;
-* ``fill_cache()`` is set-up's cache fill; the worker repeats it after
-  the checks for more cold and warm samples.
+  the deterministic counts of one iteration.
 """
 
 from __future__ import annotations
@@ -48,25 +52,22 @@ class Outcome:
 
 @dataclass
 class Context:
-    scratch: Path
+    scratch: Path                  # this process's own files
+    cache_dir: Path                # the compile cache of this set-up
     seed: int
     tiny: bool
-    #: Every calibration loop time taken so far (see :meth:`calibrate`).
+    #: Every calibration taken so far (see :meth:`calibrate`).
     marks: List[float] = field(default_factory=list)
-    _caches: int = 0
+    #: Host seconds those calibrations took, which are not set-up.
+    spent_s: float = 0.0
 
     def calibrate(self) -> float:
         """:func:`calibrate`, remembered so set-up can discount it."""
+        start = time.monotonic()
         mark = calibrate()
+        self.spent_s += time.monotonic() - start
         self.marks.append(mark)
         return mark
-
-    def fresh_dir(self, label: str) -> Path:
-        """A new, empty directory for one compile cache."""
-        self._caches += 1
-        path = self.scratch / f"{label}-{self._caches}"
-        path.mkdir(parents=True)
-        return path
 
 
 def install_cache(directory: Path) -> EvalCache:
@@ -99,8 +100,9 @@ def without_wrote(text: str) -> str:
 def busy_seconds(report: dict) -> float:
     """Simulated device-busy seconds of a serving report's fleet.
 
-    Busy time, unlike provisioned device time, barely depends on the
-    seed, so cycles per host second stay comparable across seeds.
+    It depends on the cost model, so it is pinned as a count only; the
+    serving workloads' ``sim_cycles`` is the simulated span the inputs
+    fix, so a cost-model fix does not move ``sim_cycles_per_s``.
     """
     return sum(report["per_device_utilization"]) * report["makespan_s"]
 
@@ -116,27 +118,29 @@ def clock_hz() -> float:
     return NPUTandem().config.frequency_hz
 
 
-def resolve_twice(ctx: Context, label: str, resolve
-                  ) -> Tuple[Dict[str, float], Path]:
-    """Cold resolve into an empty cache, then warm through a fresh one.
+def timed_fill(ctx: Context, workload, kind: str
+               ) -> Tuple[Dict[str, float], Any]:
+    """``workload.fill()`` through a fresh cache over ``ctx.cache_dir``.
 
-    The warm cache stays installed, so later calls hit its memory tier.
-    Returns the two timings, the calibration next to each (see
-    :meth:`Context.calibrate`) and the warm pass's hit ratio, and the cache
-    directory.
+    ``kind`` is ``"cold"`` for the fill into the empty directory and
+    ``"warm"`` for the one over the cold fill's. The cache stays
+    installed, so later calls hit its memory tier. Returns the timing, the
+    calibration next to it (see :meth:`Context.calibrate`) and the share
+    of the fill's lookups that hit, and the fill's result.
     """
-    directory = ctx.fresh_dir(label)
-    install_cache(directory)
-    marks = [ctx.calibrate()]
-    cold_s, _ = timed(resolve)
-    marks.append(ctx.calibrate())
-    warm = install_cache(directory)
-    warm_s, _ = timed(resolve)
-    marks.append(ctx.calibrate())
-    return {"cold_s": cold_s, "warm_s": warm_s,
-            "cold_calibration_s": (marks[0] + marks[1]) / 2,
-            "warm_calibration_s": (marks[1] + marks[2]) / 2,
-            "warm_hit_ratio": hit_ratio(warm)}, directory
+    cache = install_cache(ctx.cache_dir)
+    before = ctx.calibrate()
+    seconds, result = timed(workload.fill)
+    after = ctx.calibrate()
+    return {kind + "_s": seconds,
+            kind + "_calibration_s": (before + after) / 2,
+            kind + "_hit_ratio": hit_ratio(cache)}, result
+
+
+def unverified(costs) -> List[str]:
+    """Problems for the models ``costs`` holds as not cleanly verified."""
+    return [f"{model}: verification record missing or not clean"
+            for model, cost in costs.costs.items() if not cost.verified]
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +149,7 @@ class FleetDay:
 
     name = "fleet-day"
 
-    def setup(self, ctx: Context) -> Dict[str, float]:
-        from repro.serving import ServiceCosts
+    def prepare(self, ctx: Context) -> None:
         if ctx.tiny:
             self.models, devices, cells, rate, duration = (
                 ["bert"], 20, 4, 200.0, 2.0)
@@ -159,10 +162,13 @@ class FleetDay:
                      "--devices", str(devices), "--cells", str(cells),
                      "--rate", f"{rate:g}", "--duration", f"{duration:g}",
                      "--trough", "0.2", "--routing", "least_loaded"]
-        self.fill_cache = lambda: ServiceCosts.resolve(self.models)
-        samples, _ = resolve_twice(ctx, "fleet", self.fill_cache)
-        self.body(ctx, -1)
-        return samples
+
+    def fill(self):
+        from repro.serving import ServiceCosts
+        return ServiceCosts.resolve(self.models)
+
+    def record(self, costs):
+        return costs, unverified(costs)
 
     def body(self, ctx: Context, index: int) -> Outcome:
         code, out = run_cli(self.argv)
@@ -191,7 +197,8 @@ class FleetDay:
                             f"generated {generated}")
         counts = {
             "sim_requests": handled,
-            "sim_cycles": round(busy_seconds(report) * clock_hz()),
+            "sim_cycles": round(duration * clock_hz()),
+            "busy_cycles": round(busy_seconds(report) * clock_hz()),
             "events": payload["sim"]["events"],
             "scale_events": len(payload["autoscale_events"]),
             "report_bytes": len(outcomes[0].output[1]),
@@ -207,8 +214,7 @@ class ServeObserved:
 
     name = "serve-observed"
 
-    def setup(self, ctx: Context) -> Dict[str, float]:
-        from repro.serving import LLMServiceCosts, ServiceCosts
+    def prepare(self, ctx: Context) -> None:
         duration, crash_s = (2.0, 0.5) if ctx.tiny else (20.0, 4.0)
         # Shaped like the ``mon-crash-a`` plan: a 1 %/s-per-device crash
         # hazard with 6 s outages, plus one scheduled crash so that every
@@ -218,6 +224,7 @@ class ServeObserved:
                                  "at": [[0, crash_s]]}}
         plan_path = ctx.scratch / "mon-crash-a.json"
         plan_path.write_text(json.dumps(plan))
+        self.duration = duration
         self.fleet_argv = ["serve", "--model", "bert", "--devices", "6",
                            "--rate", "120", "--duration", f"{duration:g}",
                            "--faults", str(plan_path),
@@ -227,14 +234,13 @@ class ServeObserved:
         if ctx.tiny:
             self.llm_argv += ["--rates", "20", "--duration", "1"]
 
-        def fill_cache():
-            ServiceCosts.resolve(["bert"])
-            LLMServiceCosts.resolve("gpt2_rms")
+    def fill(self):
+        from repro.serving import LLMServiceCosts, ServiceCosts
+        return (ServiceCosts.resolve(["bert"]),
+                LLMServiceCosts.resolve("gpt2_rms"))
 
-        self.fill_cache = fill_cache
-        samples, _ = resolve_twice(ctx, "observed", fill_cache)
-        self.body(ctx, -1)
-        return samples
+    def record(self, costs):
+        return costs, unverified(costs[0])
 
     def body(self, ctx: Context, index: int) -> Outcome:
         fleet = run_cli(self.fleet_argv + ["--monitor"])
@@ -276,13 +282,17 @@ class ServeObserved:
             problems.append("monitored serving report differs from an "
                             "unmonitored run")
         fleet, rows = data["fleet"], data["llm"]["rows"]
+        # Every LLM row simulates one rate of the ladder for the run's
+        # duration.
+        span_s = self.duration + len(rows) * data["llm"]["duration_s"]
         counts = {
             "sim_requests": (fleet["completed"] + fleet["rejected"]
                              + sum(r["completed"] + r["rejected"]
                                    for r in rows)),
-            "sim_cycles": round((busy_seconds(fleet)
-                                 + sum(r["makespan_s"] for r in rows))
-                                * clock_hz()),
+            "sim_cycles": round(span_s * clock_hz()),
+            "busy_cycles": round((busy_seconds(fleet)
+                                  + sum(r["makespan_s"] for r in rows))
+                                 * clock_hz()),
             "fleet_retries": fleet["retries"],
             "fleet_ejects": fleet["devices_ejected"],
             "fleet_crashes": fleet["faults"].get("device_crash", 0),
@@ -302,9 +312,8 @@ class DecodeFunctional:
     config = "tinyllm"
     prompts_per_run = 4
 
-    def setup(self, ctx: Context) -> Dict[str, float]:
-        from repro.compiler import compile_model
-        from repro.llm import build_step, get_llm_config
+    def prepare(self, ctx: Context) -> None:
+        from repro.llm import get_llm_config
         cfg = get_llm_config(self.config)
         self.prompt_len, self.tokens = ((2, 2) if ctx.tiny else
                                         (4, cfg.max_context - 4))
@@ -312,17 +321,22 @@ class DecodeFunctional:
         self.prompts = [[int(t) for t in rng.integers(0, cfg.vocab,
                                                       self.prompt_len)]
                         for _ in range(self.prompts_per_run)]
-        shapes = [(0, self.prompt_len)] + [
+        self.shapes = [(0, self.prompt_len)] + [
             (self.prompt_len + i, 1) for i in range(self.tokens)]
 
-        def fill_cache():
-            for past, new in shapes:
-                compile_model(build_step(cfg, past, new).graph)
+    def fill(self):
+        from repro.compiler import compile_model
+        from repro.llm import build_step, get_llm_config
+        cfg = get_llm_config(self.config)
+        return [compile_model(build_step(cfg, past, new).graph)
+                for past, new in self.shapes]
 
-        self.fill_cache = fill_cache
-        samples, self.directory = resolve_twice(ctx, "decode", fill_cache)
-        self.body(ctx, -1)
-        return samples
+    def record(self, models):
+        from repro.compiler import dump_model, verify_record_for
+        problems = [f"{model.graph.name}: verification record not clean"
+                    for model in models
+                    if not verify_record_for(model.graph).get("clean")]
+        return [dump_model(model) for model in models], problems
 
     def session(self, prompt, **kwargs):
         from repro.llm import DecodeSession
@@ -334,7 +348,7 @@ class DecodeFunctional:
     def body(self, ctx: Context, index: int) -> Outcome:
         # Each ``repro decode`` process starts with an empty memory tier
         # over the warm disk cache.
-        install_cache(self.directory)
+        install_cache(ctx.cache_dir)
         prompt = self.prompts[index % len(self.prompts)]
         tokens, cycles = self.session(prompt)
         return Outcome(ops=1 + self.tokens, output=cycles,
@@ -349,7 +363,7 @@ class DecodeFunctional:
                 problems.append(f"prompt {list(prompt)}: tokens {tokens} "
                                 f"!= reference {reference}")
         prompt = self.prompts[0]
-        install_cache(self.directory)
+        install_cache(ctx.cache_dir)
         start = time.perf_counter()
         _, scalar = self.session(prompt, fast=False)
         self.scalar_replay_s = time.perf_counter() - start
