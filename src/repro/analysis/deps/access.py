@@ -18,6 +18,7 @@ lowered, not as first emitted), and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ...isa import AluFunc, Opcode
@@ -40,6 +41,17 @@ class OperandWalk:
     def walk(self, counts: Tuple[int, ...]) -> Walk:
         """The operand's :class:`Walk` under the nest's trip counts."""
         return Walk(self.base, self.strides, counts)
+
+
+@lru_cache(maxsize=1 << 14)
+def _interned_walk(role: str, ns: str, base: int,
+                   strides: Tuple[int, ...]) -> OperandWalk:
+    """One shared :class:`OperandWalk` per distinct (frozen) value.
+
+    A loaded artifact repeats a few hundred distinct walks tens of
+    thousands of times; interning builds each once.
+    """
+    return OperandWalk(role, ns, base, strides)
 
 
 @dataclass(frozen=True)
@@ -149,8 +161,8 @@ class TileAccessMeta:
             nests=[NestAccess(
                 event=n["event"], counts=tuple(n["counts"]),
                 stmts=tuple(
-                    tuple(OperandWalk(role=w[0], ns=w[1], base=w[2],
-                                      strides=tuple(w[3])) for w in stmt)
+                    tuple(_interned_walk(w[0], w[1], w[2], tuple(w[3]))
+                          for w in stmt)
                     for stmt in n["stmts"]))
                 for n in data["nests"]],
             transfers=[TransferAccess(

@@ -879,8 +879,9 @@ def _verify_target(target: str, deps=None):
     A target is a zoo model name (compiled, every block verified), an
     LLM decode step ``<config>:decode`` (a single-token step after a
     short prefix, compiled and verified like a model), a JSON file from
-    ``repro compile --dump`` (verified without a graph), or anything
-    else readable as a raw little-endian program blob.
+    ``repro compile --dump`` (verified without a graph; one that does not
+    load raises ``ValueError``), or any non-JSON file, read as a raw
+    little-endian program blob.
     """
     import os
 
@@ -911,9 +912,16 @@ def _verify_target(target: str, deps=None):
         payload = handle.read()
     name = os.path.basename(target)
     try:
-        blocks = load_blocks(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError, KeyError, TypeError):
+        artifact = json.loads(payload)
+    except ValueError:
+        # Not JSON (nor UTF-8): a raw program blob.
         return verify_blob(name, payload)
+    try:
+        blocks = load_blocks(artifact)
+    except (ValueError, KeyError, TypeError) as err:
+        # A JSON artifact that does not load is an input error, never a
+        # program blob to disassemble.
+        raise ValueError(f"{target}: {err}") from err
     return verify_block_dicts(name, blocks, deps=deps)
 
 
@@ -941,7 +949,7 @@ def _cmd_verify(args, lint_mode: bool) -> int:
     for target in targets:
         try:
             report = _verify_target(target, deps=deps)
-        except FileNotFoundError as err:
+        except (FileNotFoundError, ValueError) as err:
             print(f"repro verify: {err}", file=sys.stderr)
             return 2
         if ignores:

@@ -185,7 +185,7 @@ def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
     """
     from ..runtime.cache import get_cache
     from ..telemetry import get_telemetry
-    from .serialize import dump_model, load_model
+    from .serialize import load_model, model_to_dict
 
     sim_params = sim_params or SimParams()
     gemm_params = gemm_params or SystolicParams()
@@ -202,7 +202,7 @@ def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
                                special_functions, pipeline)
             hit = cache.get(
                 "compiled", key,
-                decode=lambda text: load_model(text, graph, sim_params,
+                decode=lambda data: load_model(data, graph, sim_params,
                                                gemm_params))
             if hit is not None:
                 # Blocks are shared, read-only artifacts; the wrapper binds
@@ -227,7 +227,8 @@ def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
             if not report.clean:
                 raise VerificationError(report)
         if key is not None:
-            cache.put("compiled", key, model, encode=dump_model)
+            # The cache encodes the dict once, as compact JSON.
+            cache.put("compiled", key, model, encode=model_to_dict)
         return model
 
 

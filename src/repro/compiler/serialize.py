@@ -1,17 +1,24 @@
 """Serialization of compiled models (the deployable artifact).
 
-A :class:`~repro.compiler.compiler.CompiledModel` is flattened into a
-JSON-friendly dictionary: instruction words as hex, transfer/permute
-bindings, tile counts, and GEMM costs. ``load_compiled`` restores an
-executable-equivalent object (programs decode from their packed words,
-so this also proves the binary encoding is lossless for every compiled
-benchmark).
+:func:`model_to_dict` flattens a
+:class:`~repro.compiler.compiler.CompiledModel` into a JSON-ready
+dictionary (format 4): each tile's instruction stream as one base64 blob
+of its little-endian 32-bit words (:meth:`TandemProgram.to_bytes`), plus
+transfer/permute bindings, access metadata, tile counts and GEMM costs.
+The compile cache stores that dictionary and encodes it exactly once as
+compact JSON; :func:`dump_model` is the same encoding for ``repro
+compile --dump``. :func:`load_model` restores an executable-equivalent
+object from the parsed dictionary (programs decode from their packed
+words, so this also proves the binary encoding is lossless for every
+compiled benchmark).
 """
 
 from __future__ import annotations
 
+import base64
 import json
-from typing import Dict, List, Optional
+from functools import lru_cache
+from typing import Dict, List, Tuple, Union
 
 from ..gemm import GemmCost
 from ..isa import Namespace, TandemProgram
@@ -25,7 +32,10 @@ from .lowering import LoweredTile
 # Version 3 adds per-tile access metadata (``access_meta``) so the
 # verifier's translation-validation pass can re-check reloaded
 # artifacts, not just fresh compiles.
-FORMAT_VERSION = 3
+# Version 4 stores each tile's words as one base64 blob and the artifact
+# as compact JSON encoded once (no longer a list of hex strings inside
+# an indented JSON string).
+FORMAT_VERSION = 4
 
 
 def _json_scalar(value):
@@ -101,11 +111,18 @@ def _meta_to_dict(meta: ProgramMeta) -> Dict:
     }
 
 
+@lru_cache(maxsize=1 << 14)
+def _body_op(dst: int, srcs: Tuple[int, ...], reads: int,
+             writes: int) -> BodyOpMeta:
+    """One shared (frozen) :class:`BodyOpMeta` per distinct value."""
+    return BodyOpMeta(dst, srcs, reads, writes)
+
+
 def _meta_from_dict(data: Dict) -> ProgramMeta:
     nests = [
         AnalyticNest(
             counts=tuple(nest["counts"]),
-            body=tuple(BodyOpMeta(dst, tuple(srcs), reads, writes)
+            body=tuple(_body_op(dst, tuple(srcs), reads, writes)
                        for dst, srcs, reads, writes in nest["body"]))
         for nest in data["nests"]
     ]
@@ -122,7 +139,7 @@ def _meta_from_dict(data: Dict) -> ProgramMeta:
 def tile_to_dict(tile: LoweredTile) -> Dict:
     return {
         "program_name": tile.program.name,
-        "words": [f"{w:08x}" for w in tile.program.pack()],
+        "words": base64.b64encode(tile.program.to_bytes()).decode("ascii"),
         "meta": _meta_to_dict(tile.meta),
         "transfers": [_transfer_to_dict(t) for t in tile.transfers],
         "permutes": [_permute_to_dict(p) for p in tile.permutes],
@@ -140,8 +157,8 @@ def tile_from_dict(data: Dict) -> LoweredTile:
     # Imported lazily: the analysis package pulls the compiler in.
     from ..analysis.deps.access import TileAccessMeta
 
-    program = TandemProgram.unpack(
-        data["program_name"], [int(w, 16) for w in data["words"]])
+    program = TandemProgram.from_bytes(
+        data["program_name"], base64.b64decode(data["words"], validate=True))
     meta_dict = data.get("access_meta")
     return LoweredTile(
         program=program,
@@ -157,8 +174,8 @@ def tile_from_dict(data: Dict) -> LoweredTile:
                      else TileAccessMeta.from_dict(meta_dict)))
 
 
-def dump_model(model) -> str:
-    """Serialize the deployable parts of a compiled model to JSON."""
+def model_to_dict(model) -> Dict:
+    """The deployable parts of a compiled model as a JSON-ready dict."""
     blocks = []
     for cb in model.blocks:
         blocks.append({
@@ -178,23 +195,30 @@ def dump_model(model) -> str:
             }),
             "stores": list(cb.stores),
         })
-    return json.dumps({
+    return {
         "format_version": FORMAT_VERSION,
         "model": model.name,
         "blocks": blocks,
-    }, indent=1, default=_json_scalar)
+    }
 
 
-def load_blocks(text: str) -> List[Dict]:
+def dump_model(model) -> str:
+    """Serialize the deployable parts of a compiled model to compact JSON."""
+    return json.dumps(model_to_dict(model), default=_json_scalar)
+
+
+def load_blocks(data: Union[Dict, str]) -> List[Dict]:
     """Load the serialized form; returns block dicts with live objects.
 
+    ``data`` is the :func:`model_to_dict` dictionary, or its JSON text.
     Each block dict carries ``tile`` (a :class:`LoweredTile` or None),
     ``tiles``, ``kind``, ``gemm_cost`` (a :class:`GemmCost` or None).
     """
-    data = json.loads(text)
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported compiled-model format {data.get('format_version')}")
+    if isinstance(data, str):
+        data = json.loads(data)
+    version = data.get("format_version") if isinstance(data, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported compiled-model format {version}")
     blocks = []
     for blk in data["blocks"]:
         cost = None
@@ -217,8 +241,8 @@ def load_blocks(text: str) -> List[Dict]:
     return blocks
 
 
-def load_model(text: str, graph, sim_params, gemm_params):
-    """Rebuild a full :class:`CompiledModel` from its serialized form.
+def load_model(data: Dict, graph, sim_params, gemm_params):
+    """Rebuild a full :class:`CompiledModel` from its parsed serialized form.
 
     ``graph`` must be structurally identical to the graph the artifact
     was compiled from (the content-addressed cache guarantees this);
@@ -229,7 +253,7 @@ def load_model(text: str, graph, sim_params, gemm_params):
 
     by_name = {node.name: node for node in graph.nodes}
     blocks = []
-    for blk in load_blocks(text):
+    for blk in load_blocks(data):
         gemm = by_name[blk["gemm_node"]] if blk["gemm_node"] else None
         block = Block(gemm=gemm,
                       ops=[by_name[name] for name in blk["op_nodes"]])

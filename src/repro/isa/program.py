@@ -6,13 +6,27 @@ the non-GEMM instruction stream of one block, replayed once per tile.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, List
 
 from .encoding import EncodingError, is_compute_opcode
 from .instructions import Instruction, decode
 from .opcodes import Opcode
+
+
+@lru_cache(maxsize=1 << 16)
+def _decode_word(word: int) -> Instruction:
+    """:func:`decode`, memoized per word value.
+
+    Compiled programs repeat a few hundred distinct words tens of
+    thousands of times, and :class:`Instruction` is frozen, so loaded
+    programs share one decoded object per value. ``lru_cache`` stores
+    no entry for a word whose decode raises.
+    """
+    return decode(word)
 
 
 class ProgramDecodeError(ValueError):
@@ -57,7 +71,11 @@ class TandemProgram:
 
     @classmethod
     def unpack(cls, name: str, words: Iterable[int]) -> "TandemProgram":
-        """Rebuild a program by decoding packed words."""
+        """Rebuild a program by decoding packed words.
+
+        Each program gets its own instruction list; equal words decode
+        to one shared (frozen) :class:`Instruction`.
+        """
         instructions = []
         for pc, word in enumerate(words):
             if not isinstance(word, int) or not 0 <= word < (1 << 32):
@@ -66,7 +84,7 @@ class TandemProgram:
                     f"instruction word", pc=pc, word=word if isinstance(
                         word, int) else 0)
             try:
-                instructions.append(decode(word))
+                instructions.append(_decode_word(word))
             except (ValueError, EncodingError) as err:
                 # Opcode/Namespace enum misses and field overflows all
                 # surface here as one typed, indexed error.
@@ -77,7 +95,8 @@ class TandemProgram:
 
     def to_bytes(self) -> bytes:
         """Little-endian binary serialization of the packed words."""
-        return b"".join(w.to_bytes(4, "little") for w in self.pack())
+        words = self.pack()
+        return struct.pack(f"<{len(words)}I", *words)
 
     @classmethod
     def from_bytes(cls, name: str, blob: bytes) -> "TandemProgram":
@@ -86,9 +105,7 @@ class TandemProgram:
             raise ProgramDecodeError(
                 f"program blob for {name!r} is {len(blob)} bytes, not a "
                 f"whole number of 32-bit words")
-        words = [int.from_bytes(blob[i:i + 4], "little")
-                 for i in range(0, len(blob), 4)]
-        return cls.unpack(name, words)
+        return cls.unpack(name, struct.unpack(f"<{len(blob) // 4}I", blob))
 
     # -- analyses -------------------------------------------------------------
     def opcode_histogram(self) -> Counter:

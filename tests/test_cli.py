@@ -179,6 +179,20 @@ def test_verify_compiled_model_dump(capsys, tmp_path):
     assert "ok" in capsys.readouterr().out
 
 
+def test_verify_dump_with_wrong_format_version_exits_two(capsys, tmp_path):
+    """A JSON artifact that does not load is never re-read as a raw blob."""
+    dump = tmp_path / "model.json"
+    assert main(["compile", "tinynet", "--dump", str(dump)]) == 0
+    artifact = json.loads(dump.read_text())
+    artifact["format_version"] = 99
+    dump.write_text(json.dumps(artifact))
+    capsys.readouterr()
+    assert main(["verify", str(dump)]) == 2
+    captured = capsys.readouterr()
+    assert "unsupported compiled-model format 99" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_missing_file_exits_two(capsys):
     assert main(["verify", "/nonexistent/prog.bin"]) == 2
 

@@ -6,6 +6,7 @@ invalidation when the graph or the NPU configuration changes, and
 ``parallel_map`` matching serial execution element-for-element.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -124,6 +125,75 @@ def test_compiled_artifact_round_trips_from_disk(tmp_path):
                     list(a.tile.program.pack())
     finally:
         set_cache(None)
+
+
+def test_compiled_entry_is_encoded_once(fresh_cache):
+    from repro.compiler.serialize import FORMAT_VERSION
+    compile_model(build_model("tinynet"))
+    (path,) = (fresh_cache.directory / "compiled").glob("*.json")
+    artifact = json.loads(path.read_text())
+    # A JSON object, not a JSON string holding a second encoding.
+    assert isinstance(artifact, dict)
+    assert artifact["format_version"] == FORMAT_VERSION
+    assert artifact["model"] == "tinynet"
+
+
+def test_corrupt_word_blob_invalidates_and_recompiles(fresh_cache):
+    graph = build_model("tinynet")
+    first = compile_model(graph)
+    (path,) = (fresh_cache.directory / "compiled").glob("*.json")
+    artifact = json.loads(path.read_text())
+    tile = next(b["tile"] for b in artifact["blocks"] if b["tile"])
+    tile["words"] = "!" + tile["words"][1:]
+    path.write_text(json.dumps(artifact))
+    set_cache(EvalCache(directory=fresh_cache.directory))
+    second = compile_model(graph)
+    stats = get_cache().stats
+    assert stats.invalidations == 1
+    assert stats.misses == 1
+    assert [b.tile.program.pack() for b in second.blocks if b.tile] == \
+        [b.tile.program.pack() for b in first.blocks if b.tile]
+    # The recompiled artifact replaced the corrupt one.
+    assert json.loads(path.read_text()) != artifact
+
+
+def test_cache_loaded_decode_steps_match_fresh_compiles(tmp_path,
+                                                        monkeypatch):
+    """Shared decoded instructions change nothing on the fast path.
+
+    A tinyllm session over freshly compiled step programs and one over
+    the same programs loaded from the disk tier take the same nests
+    through fastexec and run the same machine cycles.
+    """
+    from repro.llm import DecodeSession, get_llm_config
+    from repro.simulator.fastexec import FastNestExecutor
+
+    cfg = get_llm_config("tinyllm")
+    original = FastNestExecutor.supported
+
+    def session():
+        outcomes = []
+
+        def spy(self):
+            ok = original(self)
+            outcomes.append(ok)
+            return ok
+
+        monkeypatch.setattr(FastNestExecutor, "supported", spy)
+        run = DecodeSession(cfg)
+        run.prefill([3, 1, 4, 1])
+        tokens = run.decode(cfg.max_context - 4)
+        return (tokens, outcomes.count(True), outcomes.count(False),
+                [r.machine_cycles for r in run.records])
+
+    set_cache(EvalCache(directory=tmp_path / "cache"))
+    fresh = session()
+    set_cache(EvalCache(directory=tmp_path / "cache"))
+    loaded = session()
+    stats = get_cache().stats
+    assert stats.misses == 0 and stats.hits == len(fresh[3])
+    assert fresh[1] > 0
+    assert loaded == fresh
 
 
 def test_compile_cache_shares_blocks_within_process(fresh_cache):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_model, dump_model, load_blocks
+from repro.isa import ProgramDecodeError, TandemProgram
 from repro.models import build_tinynet
 from repro.npu import FunctionalRunner
 from repro.simulator import estimate
@@ -68,3 +69,42 @@ def test_restored_tile_runs_functionally(compiled, rng):
 def test_version_check():
     with pytest.raises(ValueError, match="format"):
         load_blocks(json.dumps({"format_version": 99, "blocks": []}))
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda words: "!" + words[1:], ValueError),     # not base64
+    (lambda words: words[:-4], ProgramDecodeError),  # a partial last word
+])
+def test_corrupt_word_blob_raises(compiled, corrupt, error):
+    artifact = json.loads(dump_model(compiled))
+    tile = next(b["tile"] for b in artifact["blocks"] if b["tile"])
+    tile["words"] = corrupt(tile["words"])
+    with pytest.raises(error):
+        load_blocks(artifact)
+
+
+def test_undecodable_word_keeps_its_pc_on_every_decode(compiled):
+    good = next(b.tile.program for b in compiled.blocks if b.tile).pack()
+    bad = 0xFFFFFFFF
+    # The same word fails at a different pc each time: no error is cached.
+    cases = [(good[:3] + [bad], 3), ([bad], 0), (good + [bad], len(good))]
+    for words, pc in cases:
+        with pytest.raises(ProgramDecodeError) as info:
+            TandemProgram.unpack("t", words)
+        assert info.value.pc == pc
+        assert info.value.word == bad
+
+
+def test_unpack_roundtrips_with_a_filled_memo(compiled):
+    for cb in compiled.blocks:
+        if cb.tile is None:
+            continue
+        words = cb.tile.program.pack()
+        first = TandemProgram.unpack("a", words)
+        second = TandemProgram.unpack("b", words)
+        assert second.pack() == first.pack() == words
+        assert second.instructions == cb.tile.program.instructions
+        # Decoded instructions are shared; each program owns its list.
+        assert second.instructions is not first.instructions
+        assert all(a is b for a, b in zip(first.instructions,
+                                          second.instructions))
