@@ -535,15 +535,19 @@ def cmd_serve(args) -> int:
         print(render_table(("parameter", "value"), config_rows,
                            title="serve --dry-run (no simulation)"))
         return 0
+    try:
+        if args.closed_loop:
+            workload = ClosedLoop(models, clients=args.clients,
+                                  duration_s=args.duration,
+                                  think_s=args.think_ms * 1e-3)
+            rate = 0.0
+        else:
+            workload = OpenLoopPoisson(models, args.rate, args.duration)
+            rate = args.rate
+    except ValueError as err:
+        print(f"repro serve: {err}", file=sys.stderr)
+        return 2
     costs = ServiceCosts.resolve(models)
-    if args.closed_loop:
-        workload = ClosedLoop(models, clients=args.clients,
-                              duration_s=args.duration,
-                              think_s=args.think_ms * 1e-3)
-        rate = 0.0
-    else:
-        workload = OpenLoopPoisson(models, args.rate, args.duration)
-        rate = args.rate
     sim = FleetSimulator(
         costs, devices=args.devices,
         batch_policy=BatchPolicy(args.batch_policy, args.max_batch,
@@ -639,7 +643,7 @@ def _cmd_serve_scale(args, models, fault_plan, autoscale_on) -> int:
     if args.trace:
         # A replayed trace names its own model mix; --model is ignored.
         workload = load_trace(args.trace)
-        models = sorted({r.model for r in workload.initial()})
+        models = sorted(set(workload.arrivals()[1]))
     config_rows = [
         ("models", "+".join(models)),
         ("devices", f"{args.devices} ({cells} cell(s) x "
@@ -664,20 +668,24 @@ def _cmd_serve_scale(args, models, fault_plan, autoscale_on) -> int:
         print(render_table(("parameter", "value"), config_rows,
                            title="serve --dry-run (no simulation)"))
         return 0
-    if args.trace:
-        rate = 0.0
-    elif args.closed_loop:
-        workload = ClosedLoop(models, clients=args.clients,
-                              duration_s=args.duration,
-                              think_s=args.think_ms * 1e-3)
-        rate = 0.0
-    elif args.diurnal:
-        workload = DiurnalTrace(models, args.rate, args.duration,
-                                trough_fraction=args.trough)
-        rate = args.rate
-    else:
-        workload = OpenLoopPoisson(models, args.rate, args.duration)
-        rate = args.rate
+    try:
+        if args.trace:
+            rate = 0.0
+        elif args.closed_loop:
+            workload = ClosedLoop(models, clients=args.clients,
+                                  duration_s=args.duration,
+                                  think_s=args.think_ms * 1e-3)
+            rate = 0.0
+        elif args.diurnal:
+            workload = DiurnalTrace(models, args.rate, args.duration,
+                                    trough_fraction=args.trough)
+            rate = args.rate
+        else:
+            workload = OpenLoopPoisson(models, args.rate, args.duration)
+            rate = args.rate
+    except ValueError as err:
+        print(f"repro serve: {err}", file=sys.stderr)
+        return 2
     if args.save_trace:
         written = save_trace(workload, args.save_trace)
         print(f"wrote {args.save_trace} ({written} requests)")

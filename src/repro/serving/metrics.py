@@ -30,6 +30,10 @@ from .workload import Request
 DEFAULT_SLO_MULTIPLIER = 10.0
 DEFAULT_MIN_SLO_S = 1e-3
 
+#: Above this many devices the table collapses the per-device
+#: utilization row to min / p50 / max (``--json`` keeps every device).
+TABLE_DEVICE_LIMIT = 16
+
 
 @dataclass
 class ServingReport:
@@ -140,10 +144,7 @@ class ServingReport:
                                      f"{self.max_queue_depth}"),
             ("mean batch size", self.mean_batch_size),
             ("device utilization", self.device_utilization),
-            ("per-device utilization",
-             ", ".join(f"d{i} {u:.3f}"
-                       for i, u in enumerate(self.per_device_utilization))
-             or "(none)"),
+            ("per-device utilization", self._per_device_utilization()),
             ("first-touch compiles", self.compiles),
             ("compile-cache hit rate", self.compile_cache_hit_rate),
             ("SLO target", slo or "(none)"),
@@ -152,6 +153,18 @@ class ServingReport:
         title = (f"serving: {'+'.join(self.models)} on {self.devices} "
                  f"device(s), {self.batch_policy} batching")
         return render_table(("metric", "value"), rows, title=title)
+
+    def _per_device_utilization(self) -> str:
+        """One cell per device up to 16 devices, else the spread."""
+        util = self.per_device_utilization
+        if len(util) <= TABLE_DEVICE_LIMIT:
+            return (", ".join(f"d{i} {u:.3f}" for i, u in enumerate(util))
+                    or "(none)")
+        lo = min(range(len(util)), key=util.__getitem__)
+        hi = max(range(len(util)), key=util.__getitem__)
+        return (f"min d{lo} {util[lo]:.3f} / "
+                f"p50 {percentile(sorted(util), 50):.3f} / "
+                f"max d{hi} {util[hi]:.3f}")
 
 
 @dataclass

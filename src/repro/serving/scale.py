@@ -172,18 +172,25 @@ class ScaledFleetSimulator:
         compiled: List[set] = [set() for _ in range(ndev)]
 
         # -- interned request records ----------------------------------
-        from operator import attrgetter
-        initial = sorted(workload.initial(),
-                         key=attrgetter("arrival_s", "rid"))
+        # Open workloads hand over their sorted arrival columns; only a
+        # workload with follow-ups (closed loop) needs the Request
+        # objects, to pass back to ``on_complete``.
+        has_follow = type(workload).on_complete is not Workload.on_complete
+        if has_follow:
+            from operator import attrgetter
+            req_of = sorted(workload.initial(),
+                            key=attrgetter("arrival_s", "rid"))
+            arr_t = [r.arrival_s for r in req_of]
+            names = [r.model for r in req_of]
+        else:
+            req_of = None
+            arr_t, names = workload.arrivals()
         try:
-            arr_t = [r.arrival_s for r in initial]
-            arr_m = [midx[r.model] for r in initial]
+            arr_m = [midx[m] for m in names]
         except KeyError as err:
             raise ValueError(f"workload model {err} not in ServiceCosts")
         n0 = len(arr_t)
         status = bytearray(n0)
-        has_follow = type(workload).on_complete is not Workload.on_complete
-        req_of = list(initial) if has_follow else None
 
         # -- running aggregates (the interned MetricsCollector) --------
         offered = rejected = verify_rejected = 0

@@ -14,16 +14,21 @@ shared ``REPRO_SEED`` discipline (:mod:`repro.runtime.seed`):
   (:func:`zoo_mix_trace`).
 * :class:`DiurnalTrace` — a day-cycle trace with a cosine rate envelope
   between a trough and a peak, plus optional square-wave bursts; the
-  datacenter-scale workload the autoscaler is evaluated against.
+  datacenter-scale workload the autoscaler is evaluated against.  It is
+  drawn in fixed numpy blocks and stored, like every trace replay, as
+  two columns (arrival times, model names) rather than ``Request``
+  objects.
 
 Traces round-trip through JSON (:func:`save_trace` /
 :func:`load_trace`, schema ``repro-request-trace-v1``) so a generated
 diurnal day can be replayed byte-identically by ``repro serve
 --trace``.
 
-The simulator drives a workload through two hooks: :meth:`initial`
-yields the requests known up front, and :meth:`on_complete` lets
-closed-loop clients react to their own completions.
+The simulators drive a workload through three hooks: :meth:`initial`
+yields the requests known up front, :meth:`arrivals` yields the same
+arrivals as sorted ``(times, models)`` columns (what the scaled core
+interns), and :meth:`on_complete` lets closed-loop clients react to
+their own completions.
 """
 
 from __future__ import annotations
@@ -31,12 +36,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..runtime import seeded_rng
 
 #: Schema tag for serialized request traces.
 TRACE_SCHEMA = "repro-request-trace-v1"
+
+#: Candidates :class:`DiurnalTrace` draws per block.  Part of the seeded
+#: sequence: changing it changes every generated day.
+_BLOCK = 4096
+
+#: ``(arrival times, model names)``, parallel and in ``(arrival_s, rid)``
+#: order.
+Columns = Tuple[Sequence[float], Sequence[str]]
 
 
 @dataclass(frozen=True)
@@ -57,6 +73,12 @@ class Workload:
     def initial(self) -> List[Request]:
         raise NotImplementedError
 
+    def arrivals(self) -> Columns:
+        """The initial arrivals as columns, sorted by ``(arrival_s, rid)``."""
+        ordered = sorted(self.initial(), key=attrgetter("arrival_s", "rid"))
+        return ([r.arrival_s for r in ordered],
+                [r.model for r in ordered])
+
     def on_complete(self, request: Request,
                     finish_s: float) -> Optional[Request]:
         """Next request triggered by this completion (closed loop only)."""
@@ -73,8 +95,7 @@ class OpenLoopPoisson(Workload):
 
     def __init__(self, models: Sequence[str], rate_rps: float,
                  duration_s: float, stream: object = 0):
-        if rate_rps <= 0:
-            raise ValueError(f"rate_rps must be positive, got {rate_rps}")
+        _check_generator(models, "rate_rps", rate_rps, duration_s)
         self.models = tuple(models)
         self.rate_rps = float(rate_rps)
         self.duration_s = float(duration_s)
@@ -129,18 +150,43 @@ class ClosedLoop(Workload):
         return replace(request, rid=rid, arrival_s=arrival)
 
 
+def _check_generator(models: Sequence[str], rate_name: str, rate: float,
+                     duration_s: float) -> None:
+    """Reject inputs a generator's horizon loop could never finish."""
+    if not models:
+        raise ValueError("models must name at least one model")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"{rate_name} must be finite and positive, "
+                         f"got {rate}")
+    if not (math.isfinite(duration_s) and duration_s >= 0):
+        raise ValueError(f"duration_s must be finite and >= 0, "
+                         f"got {duration_s}")
+
+
 class TraceReplay(Workload):
-    """Replay an explicit ``(arrival_s, model)`` trace, in time order."""
+    """Replay an explicit ``(arrival_s, model)`` trace, in time order.
+
+    The trace is held as two time-sorted columns; request *i* is the
+    *i*-th entry after a stable sort on arrival time.
+    """
 
     def __init__(self, entries: Iterable[Tuple[float, str]]):
         ordered = sorted(entries, key=lambda e: e[0])
-        self._requests = [Request(i, model, float(t))
-                          for i, (t, model) in enumerate(ordered)]
-        self.duration_s = (self._requests[-1].arrival_s
-                           if self._requests else 0.0)
+        self._set_columns(tuple(float(t) for t, _ in ordered),
+                          tuple(model for _, model in ordered))
+
+    def _set_columns(self, times: Tuple[float, ...],
+                     models: Tuple[str, ...]) -> None:
+        self._times = times
+        self._models = models
+        self.duration_s = times[-1] if times else 0.0
+
+    def arrivals(self) -> Columns:
+        return self._times, self._models
 
     def initial(self) -> List[Request]:
-        return list(self._requests)
+        return [Request(i, model, t) for i, (t, model)
+                in enumerate(zip(self._times, self._models))]
 
 
 def zoo_mix_trace(models: Sequence[str], rate_rps: float,
@@ -153,16 +199,22 @@ def zoo_mix_trace(models: Sequence[str], rate_rps: float,
 class DiurnalTrace(TraceReplay):
     """Diurnal load: a cosine rate envelope between trough and peak.
 
-    Arrivals are generated by seeded thinning: Poisson candidates at
-    ``peak_rps`` are accepted with probability ``trough_fraction +
-    (1 - trough_fraction) * 0.5 * (1 - cos(2*pi*t / period_s))`` — the
-    instantaneous rate starts at the trough, crests at ``peak_rps``
-    mid-period, and returns to the trough, like a compressed day of
-    datacenter traffic.  Optional square-wave *bursts* (every
-    ``burst_every_s``, lasting ``burst_len_s``) force acceptance to 1,
-    modelling flash crowds the autoscaler must absorb.  The trace is a
-    pure function of ``(REPRO_SEED, models, peak_rps, duration_s,
-    trough_fraction, period_s, burst_every_s, burst_len_s, stream)``.
+    Arrivals are Poisson candidates at ``peak_rps``, each accepted with
+    probability ``trough_fraction + (1 - trough_fraction) * 0.5 * (1 -
+    cos(2*pi*t / period_s))`` — the instantaneous rate starts at the
+    trough, crests at ``peak_rps`` mid-period, and returns to the trough,
+    like a compressed day of datacenter traffic.  Optional square-wave
+    *bursts* (every ``burst_every_s``, lasting ``burst_len_s``) force
+    acceptance to 1, modelling flash crowds the autoscaler must absorb.
+
+    Candidates are drawn in blocks of 4,096: per block, all exponential
+    gaps, then all acceptance uniforms, then all model picks.  The
+    running time is carried into the block's first gap and accumulated
+    with ``np.cumsum`` (sequential adds, as a scalar ``t +=`` would do);
+    a candidate is kept when its uniform is below its acceptance and it
+    lies before ``duration_s``.  The trace is a pure function of
+    ``(REPRO_SEED, models, peak_rps, duration_s, trough_fraction,
+    period_s, burst_every_s, burst_len_s, stream)``.
     """
 
     def __init__(self, models: Sequence[str], peak_rps: float,
@@ -170,8 +222,7 @@ class DiurnalTrace(TraceReplay):
                  period_s: Optional[float] = None,
                  burst_every_s: float = 0.0, burst_len_s: float = 0.0,
                  stream: object = 0):
-        if peak_rps <= 0:
-            raise ValueError(f"peak_rps must be positive, got {peak_rps}")
+        _check_generator(models, "peak_rps", peak_rps, duration_s)
         if not 0.0 <= trough_fraction <= 1.0:
             raise ValueError(f"trough_fraction must be in [0, 1], "
                              f"got {trough_fraction}")
@@ -181,31 +232,38 @@ class DiurnalTrace(TraceReplay):
         self.period_s = float(period_s) if period_s else float(duration_s)
         self.burst_every_s = float(burst_every_s)
         self.burst_len_s = float(burst_len_s)
+        duration = float(duration_s)
         rng = seeded_rng("diurnal", self.models, self.peak_rps,
-                         float(duration_s), self.trough_fraction,
+                         duration, self.trough_fraction,
                          self.period_s, self.burst_every_s,
                          self.burst_len_s, stream)
+        swing = (1.0 - self.trough_fraction) * 0.5
         two_pi = 2.0 * math.pi
-        entries: List[Tuple[float, str]] = []
+        kept_t: List[np.ndarray] = []
+        kept_m: List[np.ndarray] = []
         t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / self.peak_rps))
-            if t >= duration_s:
-                break
-            in_burst = (self.burst_every_s > 0.0
-                        and t % self.burst_every_s < self.burst_len_s)
-            accept = 1.0 if in_burst else (
-                self.trough_fraction + (1.0 - self.trough_fraction)
-                * 0.5 * (1.0 - math.cos(two_pi * t / self.period_s)))
-            if float(rng.random()) >= accept:
-                continue
-            model = self.models[int(rng.integers(len(self.models)))]
-            entries.append((t, model))
-        super().__init__(entries)
+        while t < duration:
+            gaps = rng.exponential(1.0 / self.peak_rps, _BLOCK)
+            gaps[0] += t
+            cand = np.cumsum(gaps)
+            u = rng.random(_BLOCK)
+            picks = rng.integers(len(self.models), size=_BLOCK)
+            accept = self.trough_fraction + swing * (
+                1.0 - np.cos(two_pi * cand / self.period_s))
+            if self.burst_every_s > 0.0:
+                accept[cand % self.burst_every_s < self.burst_len_s] = 1.0
+            keep = (u < accept) & (cand < duration)
+            kept_t.append(cand[keep])
+            kept_m.append(picks[keep])
+            t = float(cand[-1])
+        times = np.concatenate(kept_t) if kept_t else np.empty(0)
+        picks = np.concatenate(kept_m) if kept_m else np.empty(0, int)
+        self._set_columns(tuple(times.tolist()),
+                          tuple(self.models[i] for i in picks.tolist()))
         # The envelope's horizon, not the last accepted arrival: the
         # quiet tail after the final request is part of the day (and is
         # where the autoscaler earns its cost savings).
-        self.duration_s = float(duration_s)
+        self.duration_s = duration
 
 
 def save_trace(workload: Workload, path: str) -> int:
@@ -222,7 +280,7 @@ def save_trace(workload: Workload, path: str) -> int:
         "requests": [[r.arrival_s, r.model] for r in requests],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write(json.dumps(payload, separators=(",", ":")))
         fh.write("\n")
     return len(requests)
 

@@ -109,6 +109,21 @@ def test_serve_closed_loop_smoke(capsys):
     assert "throughput" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--rate", "nan"],
+    ["--rate", "inf"],
+    ["--duration", "inf"],
+    ["--scale", "--diurnal", "--rate", "nan"],
+    ["--scale", "--diurnal", "--duration", "inf"],
+    ["--model", ","],
+])
+def test_serve_unreachable_horizon_exits_2(capsys, flags):
+    assert main(["serve", "--devices", "2"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro serve: ")
+    assert "Traceback" not in err
+
+
 def test_serve_rejects_unknown_policy():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["serve", "--batch-policy", "magic"])

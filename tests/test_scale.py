@@ -184,6 +184,89 @@ def test_trace_round_trips_through_json(tmp_path):
     assert a.to_json() == b.to_json()
 
 
+def test_diurnal_day_across_blocks_follows_the_envelope():
+    from repro.serving.workload import _BLOCK
+    peak, duration, trough = 1000.0, 16.0, 0.25
+    assert peak * duration > 3 * _BLOCK       # >= 3 candidate blocks
+    times, models = DiurnalTrace(MODELS, peak, duration,
+                                 trough_fraction=trough).arrivals()
+    assert all(a <= b for a, b in zip(times, times[1:]))
+    assert all(t < duration for t in times)
+    # Thinned Poisson: the count is Poisson with mean equal to the
+    # envelope's integral, peak * duration * (trough + (1 - trough) / 2)
+    # over one full period.
+    expected = peak * duration * (trough + (1.0 - trough) / 2)
+    assert abs(len(times) - expected) < 4 * expected ** 0.5
+    # Models are drawn uniformly: Binomial(n, 1/2) per model.
+    n = len(models)
+    assert abs(models.count("a") - n / 2) < 4 * (n / 4) ** 0.5
+
+
+def test_diurnal_blocks_match_a_scalar_walk_of_the_same_draws():
+    # Reference: walk the same per-block draws one candidate at a time
+    # with ``t +=``; the block cumsum must give bit-identical times.
+    import math
+
+    from repro.runtime import seeded_rng
+    from repro.serving.workload import _BLOCK
+    peak, duration, trough, every, length = 900.0, 10.0, 0.1, 3.0, 0.5
+    day = DiurnalTrace(MODELS, peak, duration, trough_fraction=trough,
+                       burst_every_s=every, burst_len_s=length)
+    rng = seeded_rng("diurnal", MODELS, peak, duration, trough, duration,
+                     every, length, 0)
+    times, models = [], []
+    t = 0.0
+    while t < duration:
+        gaps = rng.exponential(1.0 / peak, _BLOCK)
+        uniforms = rng.random(_BLOCK)
+        picks = rng.integers(len(MODELS), size=_BLOCK)
+        for gap, u, pick in zip(gaps.tolist(), uniforms.tolist(),
+                                picks.tolist()):
+            t += gap
+            accept = 1.0 if t % every < length else trough + (
+                1.0 - trough) * 0.5 * (1.0 - math.cos(
+                    2.0 * math.pi * t / duration))
+            if u < accept and t < duration:
+                times.append(t)
+                models.append(MODELS[pick])
+    assert peak * duration > 2 * _BLOCK
+    assert (list(day.arrivals()[0]), list(day.arrivals()[1])) == (
+        times, models)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OpenLoopPoisson(MODELS, 300.0, 1.0),
+    lambda: ClosedLoop(MODELS, clients=5, duration_s=1.0, think_s=0.002),
+    lambda: TraceReplay([(0.5, "b"), (0.1, "a"), (0.3, "b"), (0.1, "b")]),
+    lambda: DiurnalTrace(MODELS, 300.0, 2.0),
+], ids=["poisson", "closed-loop", "replay", "diurnal"])
+def test_arrivals_are_the_sorted_initial_columns(make):
+    ordered = sorted(make().initial(), key=lambda r: (r.arrival_s, r.rid))
+    times, models = make().arrivals()
+    assert list(times) == [r.arrival_s for r in ordered]
+    assert list(models) == [r.model for r in ordered]
+
+
+def test_diurnal_replay_and_trace_file_serve_identically(tmp_path):
+    day = DiurnalTrace(MODELS, 600.0, 3.0, trough_fraction=0.2)
+    replay = TraceReplay(zip(*day.arrivals()))
+    replay.duration_s = day.duration_s
+    path = tmp_path / "day.json"
+    save_trace(day, str(path))
+
+    def serve(workload, rate_rps):
+        sim = ScaledFleetSimulator(COSTS, devices=8, cells=4,
+                                   autoscale=AutoscaleConfig(min_cells=1))
+        report = sim.run(workload, rate_rps=rate_rps).as_dict()
+        assert report.pop("rate_rps") == rate_rps
+        return json.dumps(report, sort_keys=True)
+
+    # Only rate_rps differs: a replay does not know its generator's rate.
+    served = serve(day, 600.0)
+    assert serve(replay, 0.0) == served
+    assert serve(load_trace(str(path)), 0.0) == served
+
+
 def test_load_trace_rejects_wrong_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "not-a-trace", "requests": []}))

@@ -8,6 +8,7 @@ from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
     ClosedLoop,
+    DiurnalTrace,
     FleetSimulator,
     Launch,
     OpenLoopPoisson,
@@ -59,6 +60,33 @@ def test_poisson_workload_follows_repro_seed(monkeypatch):
 def test_poisson_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
         OpenLoopPoisson(["bert"], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("generator", [OpenLoopPoisson, DiurnalTrace])
+@pytest.mark.parametrize("rate, duration, match", [
+    (float("nan"), 1.0, "finite and positive"),
+    (float("inf"), 1.0, "finite and positive"),
+    (-5.0, 1.0, "finite and positive"),
+    (100.0, float("inf"), "finite and >= 0"),
+    (100.0, float("nan"), "finite and >= 0"),
+    (100.0, -1.0, "finite and >= 0"),
+])
+def test_generators_reject_horizons_they_never_reach(generator, rate,
+                                                     duration, match):
+    # Each of these once spun forever: ``t`` never passed the horizon.
+    with pytest.raises(ValueError, match=match):
+        generator(["bert"], rate, duration)
+
+
+@pytest.mark.parametrize("generator", [OpenLoopPoisson, DiurnalTrace])
+def test_generators_reject_empty_model_list(generator):
+    with pytest.raises(ValueError, match="at least one model"):
+        generator([], 100.0, 1.0)
+
+
+def test_zero_duration_generates_nothing():
+    assert OpenLoopPoisson(["bert"], 100.0, 0.0).initial() == []
+    assert DiurnalTrace(["bert"], 100.0, 0.0).initial() == []
 
 
 def test_trace_replay_orders_and_numbers_requests():
@@ -251,6 +279,31 @@ def test_report_json_round_trips_and_table_renders():
     for needle in ("p50 latency", "p99 latency", "SLO attainment",
                    "throughput"):
         assert needle in table
+
+
+def test_table_lists_every_device_up_to_sixteen():
+    report = simulate(TraceReplay([(0.0, "m")] * 16), toy_costs(),
+                      devices=16, routing="round_robin")
+    row = next(line for line in report.table().splitlines()
+               if line.startswith("per-device utilization"))
+    assert "d0 " in row and "d15 " in row
+
+
+def test_table_collapses_per_device_row_above_sixteen():
+    # 30 requests round-robin over 40 devices: d0..d29 equally busy,
+    # d30..d39 idle, so the nearest-rank p50 (20th of 40) is busy.
+    report = simulate(TraceReplay([(0.0, "m")] * 30), toy_costs(),
+                      devices=40, routing="round_robin")
+    busy = report.per_device_utilization[0]
+    assert busy > 0
+    lines = report.table().splitlines()
+    row = next(line for line in lines
+               if line.startswith("per-device utilization"))
+    assert row.split(None, 2)[2].rstrip() == (
+        f"min d30 0.000 / p50 {busy:.3f} / max d0 {busy:.3f}")
+    assert max(len(line) for line in lines) <= 120
+    # The JSON report keeps every device.
+    assert len(json.loads(report.to_json())["per_device_utilization"]) == 40
 
 
 def test_percentile_nearest_rank():
