@@ -476,178 +476,79 @@ def _cmd_serve_llm(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Simulate a serving fleet; optional fault plan + resilience policy."""
+    """Simulate a serving fleet on the one event core.
+
+    Faults + resilience, the monitor, ``--trace-out``, cells and
+    autoscaling all compose; ``--scale`` (implied by ``--cells`` and
+    ``--autoscale``) adds the fleet-scale summary table.
+    """
     if args.llm:
         return _cmd_serve_llm(args)
     from .faults import FaultPlan
-    from .serving import (
-        AdmissionPolicy,
-        BatchPolicy,
-        ClosedLoop,
-        FleetSimulator,
-        MonitorConfig,
-        OpenLoopPoisson,
-        ResiliencePolicy,
-        ServiceCosts,
-        autoscaling_enabled,
-        monitoring_enabled,
-    )
-    models = [m.strip() for m in args.model.split(",") if m.strip()]
-    fault_plan = FaultPlan.from_file(args.faults) if args.faults else None
-    autoscale_on = autoscaling_enabled(args.autoscale)
-    scale_on = args.scale or autoscale_on or args.cells is not None
-    if scale_on:
-        return _cmd_serve_scale(args, models, fault_plan, autoscale_on)
-    if args.trace or args.diurnal or args.save_trace:
-        print("repro serve: --trace/--diurnal/--save-trace need the "
-              "scaled core; add --scale", file=sys.stderr)
-        return 2
-    monitor_on = monitoring_enabled(args.monitor)
-    monitor_config = (MonitorConfig.from_env(interval_s=args.monitor_interval)
-                      if monitor_on else None)
-    # Default policy: respond to injected faults, stay bit-identical to
-    # the pre-fault fleet when nothing is being injected.
-    resilience_kind = args.resilience or (
-        "resilient" if fault_plan is not None else "naive")
-    resilience = (ResiliencePolicy() if resilience_kind == "resilient"
-                  else ResiliencePolicy.naive())
-    config_rows = [
-        ("models", "+".join(models)),
-        ("devices", args.devices),
-        ("batch policy", f"{args.batch_policy} (max_batch={args.max_batch}, "
-                         f"wait={args.max_wait_ms}ms)"),
-        ("routing", args.routing),
-        ("workload", "closed-loop" if args.closed_loop else
-                     f"open-loop poisson @ {args.rate} req/s"),
-        ("duration (s)", args.duration),
-        ("admission max queue", args.max_queue),
-        ("SLO multiplier", args.slo_multiplier),
-        ("fault plan", fault_plan.name if fault_plan else "(none)"),
-        ("resilience", resilience_kind),
-    ]
-    if monitor_on:
-        config_rows.append((
-            "monitor",
-            f"interval={monitor_config.interval_s}s "
-            f"window={monitor_config.window_intervals} "
-            f"target={monitor_config.objective.target}"))
-    if args.dry_run:
-        print(render_table(("parameter", "value"), config_rows,
-                           title="serve --dry-run (no simulation)"))
-        return 0
-    try:
-        if args.closed_loop:
-            workload = ClosedLoop(models, clients=args.clients,
-                                  duration_s=args.duration,
-                                  think_s=args.think_ms * 1e-3)
-            rate = 0.0
-        else:
-            workload = OpenLoopPoisson(models, args.rate, args.duration)
-            rate = args.rate
-    except ValueError as err:
-        print(f"repro serve: {err}", file=sys.stderr)
-        return 2
-    costs = ServiceCosts.resolve(models)
-    sim = FleetSimulator(
-        costs, devices=args.devices,
-        batch_policy=BatchPolicy(args.batch_policy, args.max_batch,
-                                 args.max_wait_ms),
-        admission=AdmissionPolicy(args.max_queue),
-        routing=args.routing,
-        slo_multiplier=args.slo_multiplier,
-        collect_trace=bool(args.trace_out),
-        fault_plan=fault_plan,
-        resilience=resilience,
-        monitor_config=monitor_config)
-    if args.trace_out:
-        from .telemetry import Telemetry, scoped_telemetry
-        from .telemetry.export import (
-            chrome_trace,
-            serving_trace_events,
-            write_trace,
-        )
-        with scoped_telemetry(Telemetry(enabled=True,
-                                        label="serve")) as tel:
-            report = sim.run(workload, rate_rps=rate)
-            snapshot = tel.snapshot()
-        device_events = list(serving_trace_events(sim.trace_log))
-        if monitor_on and sim.monitor_payload is not None:
-            from .telemetry.export import monitor_counter_events
-            device_events.extend(monitor_counter_events(sim.monitor_payload))
-        payload = chrome_trace(
-            [snapshot], device_events=device_events,
-            extra_other_data={"models": models, "devices": args.devices})
-        write_trace(args.trace_out, payload)
-    else:
-        report = sim.run(workload, rate_rps=rate)
-    print(report.table())
-    if monitor_on and sim.monitor_payload is not None:
-        from .serving import validate_monitor_report
-        from .telemetry.dashboard import render_dashboard
-        monitor_payload = sim.monitor_payload
-        problems = validate_monitor_report(monitor_payload)
-        if problems:  # pragma: no cover - internal invariant
-            print("repro serve: invalid monitor report:\n  "
-                  + "\n  ".join(problems), file=sys.stderr)
-            return 1
-        print(render_dashboard(monitor_payload,
-                               color=sys.stdout.isatty()))
-        if args.monitor_out:
-            with open(args.monitor_out, "w") as handle:
-                json.dump(monitor_payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {args.monitor_out}")
-    if args.trace_out:
-        print(f"wrote {args.trace_out}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _cmd_serve_scale(args, models, fault_plan, autoscale_on) -> int:
-    """The ``--scale`` path: interned-record core, cells, autoscaling."""
     from .serving import (
         AdmissionPolicy,
         AutoscaleConfig,
         BatchPolicy,
         ClosedLoop,
         DiurnalTrace,
+        MonitorConfig,
         OpenLoopPoisson,
+        ResiliencePolicy,
         ScaledFleetSimulator,
         ServiceCosts,
+        autoscaling_enabled,
         load_trace,
+        monitoring_enabled,
         save_trace,
         scale_table,
         validate_fleet_scale_report,
     )
-    if fault_plan is not None or args.resilience == "resilient":
-        print("repro serve: --scale is the fault-free fast path; drop "
-              "--faults/--resilience (chaos runs use the legacy core)",
-              file=sys.stderr)
+    from .serving.scale import check_fleet_shape
+
+    def refuse(message) -> int:
+        print(f"repro serve: {message}", file=sys.stderr)
         return 2
-    if args.monitor or args.trace_out:
-        print("repro serve: --scale does not support --monitor/"
-              "--trace-out; the scale report has its own timeline "
-              "(--scale-out FILE)", file=sys.stderr)
-        return 2
+
+    models = [m.strip() for m in args.model.split(",") if m.strip()]
+    fault_plan = FaultPlan.from_file(args.faults) if args.faults else None
+    autoscale_on = autoscaling_enabled(args.autoscale)
+    monitor_on = monitoring_enabled(args.monitor)
+    scale_view = args.scale or autoscale_on or args.cells is not None
     cells = args.cells
     if cells is None:
         # Autoscaling needs multiple cells to act on; default to ~25
         # devices per cell, the sweet spot for the in-cell route scan.
         cells = max(2, args.devices // 25) if autoscale_on else 1
-    config = None
-    if autoscale_on:
-        config = AutoscaleConfig.from_env()
-    if args.trace:
-        # A replayed trace names its own model mix; --model is ignored.
-        workload = load_trace(args.trace)
-        models = sorted(set(workload.arrivals()[1]))
+    # Default policy: respond to injected faults, stay naive when
+    # nothing is being injected.
+    resilience_kind = args.resilience or (
+        "resilient" if fault_plan is not None else "naive")
+    resilience = (ResiliencePolicy() if resilience_kind == "resilient"
+                  else ResiliencePolicy.naive())
+    # Every argument is checked here, before ServiceCosts.resolve
+    # compiles anything.
+    try:
+        if args.trace:
+            # A replayed trace names its own model mix; --model is
+            # ignored.
+            workload = load_trace(args.trace)
+            models = sorted(set(workload.arrivals()[1]))
+        check_fleet_shape(args.devices, cells, args.routing, autoscale_on)
+        batch_policy = BatchPolicy(args.batch_policy, args.max_batch,
+                                   args.max_wait_ms)
+        monitor_config = (MonitorConfig.from_env(
+            interval_s=args.monitor_interval) if monitor_on else None)
+        config = AutoscaleConfig.from_env() if autoscale_on else None
+    except ValueError as err:
+        return refuse(err)
+    unknown = [m for m in models if m not in available_models()]
+    if unknown:
+        return refuse(f"unknown model(s) {', '.join(unknown)}; available: "
+                      f"{', '.join(available_models())}")
     config_rows = [
         ("models", "+".join(models)),
         ("devices", f"{args.devices} ({cells} cell(s) x "
-                    f"{args.devices // cells if cells else 0})"),
+                    f"{args.devices // cells})"),
         ("batch policy", f"{args.batch_policy} (max_batch={args.max_batch}, "
                          f"wait={args.max_wait_ms}ms)"),
         ("routing", args.routing),
@@ -659,11 +560,19 @@ def _cmd_serve_scale(args, models, fault_plan, autoscale_on) -> int:
         ("duration (s)", args.duration),
         ("admission max queue", args.max_queue),
         ("SLO multiplier", args.slo_multiplier),
+        ("fault plan", fault_plan.name if fault_plan else "(none)"),
+        ("resilience", resilience_kind),
         ("autoscale",
          (f"interval={config.interval_s}s min_cells={config.min_cells} "
           f"cooldown={config.cooldown_s}s "
           f"${config.price_per_device_hour}/dev-h") if config else "off"),
     ]
+    if monitor_on:
+        config_rows.append((
+            "monitor",
+            f"interval={monitor_config.interval_s}s "
+            f"window={monitor_config.window_intervals} "
+            f"target={monitor_config.objective.target}"))
     if args.dry_run:
         print(render_table(("parameter", "value"), config_rows,
                            title="serve --dry-run (no simulation)"))
@@ -684,21 +593,42 @@ def _cmd_serve_scale(args, models, fault_plan, autoscale_on) -> int:
             workload = OpenLoopPoisson(models, args.rate, args.duration)
             rate = args.rate
     except ValueError as err:
-        print(f"repro serve: {err}", file=sys.stderr)
-        return 2
+        return refuse(err)
     if args.save_trace:
         written = save_trace(workload, args.save_trace)
         print(f"wrote {args.save_trace} ({written} requests)")
     costs = ServiceCosts.resolve(models)
     sim = ScaledFleetSimulator(
         costs, devices=args.devices, cells=cells,
-        batch_policy=BatchPolicy(args.batch_policy, args.max_batch,
-                                 args.max_wait_ms),
+        batch_policy=batch_policy,
         admission=AdmissionPolicy(args.max_queue),
         routing=args.routing,
         slo_multiplier=args.slo_multiplier,
-        autoscale=config)
-    report = sim.run(workload, rate_rps=rate)
+        autoscale=config,
+        collect_trace=bool(args.trace_out),
+        fault_plan=fault_plan,
+        resilience=resilience,
+        monitor_config=monitor_config)
+    if args.trace_out:
+        from .telemetry import Telemetry, scoped_telemetry
+        from .telemetry.export import (
+            chrome_trace,
+            serving_trace_events,
+            write_trace,
+        )
+        with scoped_telemetry(Telemetry(enabled=True,
+                                        label="serve")) as tel:
+            report = sim.run(workload, rate_rps=rate)
+            snapshot = tel.snapshot()
+        device_events = list(serving_trace_events(sim.trace_log))
+        if sim.monitor_payload is not None:
+            from .telemetry.export import monitor_counter_events
+            device_events.extend(monitor_counter_events(sim.monitor_payload))
+        write_trace(args.trace_out, chrome_trace(
+            [snapshot], device_events=device_events,
+            extra_other_data={"models": models, "devices": args.devices}))
+    else:
+        report = sim.run(workload, rate_rps=rate)
     payload = sim.payload
     problems = validate_fleet_scale_report(payload)
     if problems:  # pragma: no cover - internal invariant
@@ -706,12 +636,31 @@ def _cmd_serve_scale(args, models, fault_plan, autoscale_on) -> int:
               + "\n  ".join(problems), file=sys.stderr)
         return 1
     print(report.table())
-    print(scale_table(payload))
+    if scale_view:
+        print(scale_table(payload))
+    if sim.monitor_payload is not None:
+        from .serving import validate_monitor_report
+        from .telemetry.dashboard import render_dashboard
+        problems = validate_monitor_report(sim.monitor_payload)
+        if problems:  # pragma: no cover - internal invariant
+            print("repro serve: invalid monitor report:\n  "
+                  + "\n  ".join(problems), file=sys.stderr)
+            return 1
+        print(render_dashboard(sim.monitor_payload,
+                               color=sys.stdout.isatty()))
+        if args.monitor_out:
+            with open(args.monitor_out, "w") as handle:
+                json.dump(sim.monitor_payload, handle, indent=2,
+                          sort_keys=True)
+                handle.write("\n")
+            print(f"wrote {args.monitor_out}")
     if args.scale_out:
         with open(args.scale_out, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.scale_out}")
+    if args.trace_out:
+        print(f"wrote {args.trace_out}")
     if args.json:
         with open(args.json, "w") as handle:
             handle.write(report.to_json())
@@ -1135,8 +1084,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling interval in simulated seconds "
                             "(default: $REPRO_MONITOR_INTERVAL or 0.1)")
     serve.add_argument("--scale", action="store_true",
-                       help="use the interned-record scaled core "
-                            "(1000+ devices; fault-free only)")
+                       help="also print the fleet-scale summary "
+                            "(cells, events, cost)")
     serve.add_argument("--cells", type=int, default=None, metavar="N",
                        help="device cells for hierarchical routing "
                             "(must divide --devices; default 1, or "

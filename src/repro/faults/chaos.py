@@ -26,8 +26,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..runtime import parallel_map
 from ..runtime.seed import repro_seed
-from ..serving.fleet import FleetSimulator
 from ..serving.metrics import ServingReport
+from ..serving.scale import ScaledFleetSimulator
 from ..serving.scheduler import (
     RESILIENCE_POLICIES,
     AdmissionPolicy,
@@ -69,7 +69,7 @@ def run_chaos_point(point: ChaosPoint) -> ServingReport:
                   else ResiliencePolicy.naive())
     workload = OpenLoopPoisson((point.model,), point.rate_rps,
                                point.duration_s)
-    sim = FleetSimulator(
+    sim = ScaledFleetSimulator(
         point.costs,
         devices=point.devices,
         batch_policy=BatchPolicy("dynamic", point.max_batch,

@@ -863,10 +863,10 @@ def monitoring_slo() -> Experiment:
     from ..faults.plan import CrashSpec
     from ..serving import (
         BatchPolicy,
-        FleetSimulator,
         MonitorPoint,
         OpenLoopPoisson,
         ResiliencePolicy,
+        ScaledFleetSimulator,
         ServiceCosts,
         run_monitor_point,
     )
@@ -902,7 +902,7 @@ def monitoring_slo() -> Experiment:
         "fault_free_run_fires_zero_alerts": (
             True, control["monitor"]["alerts"] == []),
         "monitoring_is_observational (serving report unchanged)": (
-            True, crashed["serving"] == FleetSimulator(
+            True, crashed["serving"] == ScaledFleetSimulator(
                 costs, devices=6, batch_policy=BatchPolicy(),
                 routing="round_robin", fault_plan=plan,
                 resilience=ResiliencePolicy.naive()).run(

@@ -3,16 +3,16 @@
 Layers a discrete-event serving simulation on top of the ``npu`` /
 ``runtime`` stack: load generators (:mod:`~repro.serving.workload`),
 admission control + dynamic batching (:mod:`~repro.serving.scheduler`),
-a routed device fleet (:mod:`~repro.serving.fleet`), SLO metrics
+the one serving event core (:mod:`~repro.serving.scale`: interned
+request records, cell routing, faults + resilience, the streaming
+monitor, the trace log, 1000+ devices), burn-rate/queue-depth cell
+autoscaling (:mod:`~repro.serving.autoscale`), SLO metrics
 (:mod:`~repro.serving.metrics`) and the ``serving_sweep`` grid
-(:mod:`~repro.serving.sweep`). Entry points: ``python -m repro serve``
-and the ``serving_sweep`` harness experiment.
-
-Datacenter scale lives in :mod:`~repro.serving.scale` (interned-record
-event core, 1000+ devices, cell routing) and
-:mod:`~repro.serving.autoscale` (burn-rate/queue-depth cell
-autoscaling with a $/device-hour cost model); see
-``docs/operations.md`` for the capacity-planning guide.
+(:mod:`~repro.serving.sweep`). :mod:`~repro.serving.fleet` keeps a
+fault-free per-request-object reference the core is checked against.
+Entry points: ``python -m repro serve`` and the ``serving_sweep``
+harness experiment; see ``docs/operations.md`` for the
+capacity-planning guide.
 """
 
 from .autoscale import (
@@ -35,11 +35,9 @@ from .continuous import (
     make_llm_batcher,
 )
 from .fleet import (
-    ROUTING_POLICIES,
     DeviceState,
     FleetSimulator,
     Router,
-    simulate,
 )
 from .metrics import (
     DEFAULT_SLO_MULTIPLIER,
@@ -60,11 +58,13 @@ from .monitor import (
     validate_monitor_report,
 )
 from .scale import (
+    ROUTING_POLICIES,
     SCALE_SCHEMA,
     ScaledFleetSimulator,
     ScalePoint,
     run_scale_point,
     scale_table,
+    simulate,
     tail_bounded_throughput,
     validate_fleet_scale_report,
 )

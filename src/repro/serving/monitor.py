@@ -64,7 +64,7 @@ MONITOR_SCHEMA = "repro-monitor-report-v1"
 #: must land deterministically despite float accumulation.
 _EPS = 1e-9
 
-#: Batch-launch trigger reasons recorded by ``plan_batch``.
+#: Batch-launch trigger reasons recorded at each launch.
 LAUNCH_REASONS = ("full", "deadline", "greedy", "single")
 
 
@@ -392,7 +392,7 @@ class FleetMonitor(_MonitorBase):
         self._down: Set[int] = set()
         self._ejected: Set[int] = set()
 
-    # -- lifecycle hooks (called by FleetSimulator) ------------------------
+    # -- lifecycle hooks (called by the serving event core) ----------------
     def note_arrival(self, rid: int, model: str, now_s: float) -> None:
         """First-attempt arrival: count it and arm the SLO deadline."""
         self._rates["rate.arrivals"].bump()
@@ -412,7 +412,7 @@ class FleetMonitor(_MonitorBase):
         self._busy[device].append([start_s, finish_s])
 
     def note_launch_reason(self, reason: str) -> None:
-        """Which trigger fired the batch (from ``plan_batch``)."""
+        """Which trigger fired the batch (full, deadline, greedy, single)."""
         self._rates[f"rate.launch.{reason}"].bump()
 
     def note_complete(self, rid: int, now_s: float, latency_ms: float,
@@ -679,7 +679,7 @@ def run_monitor_point(point: MonitorPoint) -> Dict[str, Any]:
     Returns ``{"serving": ServingReport.as_dict(), "monitor": payload}``
     — both pure functions of ``(REPRO_SEED, point)``.
     """
-    from .fleet import FleetSimulator
+    from .scale import ScaledFleetSimulator
     from .scheduler import BatchPolicy, ResiliencePolicy
     from .workload import OpenLoopPoisson
     config = MonitorConfig(
@@ -688,7 +688,7 @@ def run_monitor_point(point: MonitorPoint) -> Dict[str, Any]:
         objective=SLOObjective(target=point.slo_target),
         rules=default_rules(),
     )
-    sim = FleetSimulator(
+    sim = ScaledFleetSimulator(
         point.costs,
         devices=point.devices,
         batch_policy=BatchPolicy(kind=point.batch_kind),

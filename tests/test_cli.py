@@ -116,8 +116,19 @@ def test_serve_closed_loop_smoke(capsys):
     ["--scale", "--diurnal", "--rate", "nan"],
     ["--scale", "--diurnal", "--duration", "inf"],
     ["--model", ","],
+    ["--devices", "0"],
+    ["--devices", "10", "--cells", "3"],
+    ["--devices", "3", "--autoscale"],
+    ["--monitor", "--monitor-interval", "0"],
+    ["--max-batch", "0"],
+    ["--model", "nosuch"],
 ])
-def test_serve_unreachable_horizon_exits_2(capsys, flags):
+def test_serve_unreachable_horizon_exits_2(capsys, monkeypatch, flags):
+    from repro.serving import ServiceCosts
+
+    def resolve(*args, **kwargs):
+        raise AssertionError("bad arguments must exit before compiling")
+    monkeypatch.setattr(ServiceCosts, "resolve", resolve)
     assert main(["serve", "--devices", "2"] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("repro serve: ")

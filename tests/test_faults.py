@@ -38,9 +38,9 @@ from repro.faults import (
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
-    FleetSimulator,
     ModelCost,
     ResiliencePolicy,
+    ScaledFleetSimulator,
     ServiceCosts,
     TraceReplay,
     simulate,
@@ -66,11 +66,11 @@ def toy_costs(latency_s=LATENCY_S, compile_s=COMPILE_S, amortized=0.5,
 def run_fleet(workload, costs, *, devices=1, routing="least_loaded",
               fault_plan=None, resilience=None, max_queue=256):
     """One single-batch fleet run with the trace log kept."""
-    sim = FleetSimulator(costs, devices=devices,
-                         batch_policy=BatchPolicy("single"),
-                         admission=AdmissionPolicy(max_queue),
-                         routing=routing, collect_trace=True,
-                         fault_plan=fault_plan, resilience=resilience)
+    sim = ScaledFleetSimulator(costs, devices=devices,
+                               batch_policy=BatchPolicy("single"),
+                               admission=AdmissionPolicy(max_queue),
+                               routing=routing, collect_trace=True,
+                               fault_plan=fault_plan, resilience=resilience)
     report = sim.run(workload)
     return report, sim.trace_log
 

@@ -9,13 +9,13 @@ import pytest
 from repro.runtime import parallel_map
 from repro.serving import (
     BatchPolicy,
-    FleetSimulator,
     LLMMonitor,
     LLMServiceCosts,
     MonitorConfig,
     MonitorPoint,
     OpenLoopPoisson,
     ResiliencePolicy,
+    ScaledFleetSimulator,
     ServiceCosts,
     llm_poisson_requests,
     make_llm_batcher,
@@ -298,10 +298,11 @@ def test_monitored_run_produces_valid_report():
 def test_monitoring_is_observational():
     costs = ServiceCosts.resolve(["bert"])
     def run(monitor_config):
-        sim = FleetSimulator(costs, devices=4, batch_policy=BatchPolicy(),
-                             routing="round_robin",
-                             resilience=ResiliencePolicy.naive(),
-                             monitor_config=monitor_config)
+        sim = ScaledFleetSimulator(costs, devices=4,
+                                   batch_policy=BatchPolicy(),
+                                   routing="round_robin",
+                                   resilience=ResiliencePolicy.naive(),
+                                   monitor_config=monitor_config)
         return sim.run(OpenLoopPoisson(("bert",), 80.0, 5.0),
                        rate_rps=80.0)
     plain = run(None)

@@ -1,11 +1,16 @@
 """Datacenter-scale core: bit-identity, autoscaling, traces, determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.faults import FaultPlan
+from repro.faults.plan import CrashSpec
 from repro.runtime import parallel_map
 from repro.serving import (
+    DEFAULT_SLO_MULTIPLIER,
+    AdmissionPolicy,
     AutoscaleConfig,
     AutoscaleController,
     BatchPolicy,
@@ -13,7 +18,9 @@ from repro.serving import (
     CostModel,
     DiurnalTrace,
     FleetSimulator,
+    MonitorConfig,
     OpenLoopPoisson,
+    ResiliencePolicy,
     ScaledFleetSimulator,
     ScalePoint,
     ServiceCosts,
@@ -27,6 +34,7 @@ from repro.serving import (
     scale_table,
     tail_bounded_throughput,
     validate_fleet_scale_report,
+    validate_monitor_report,
 )
 from repro.serving.scheduler import ModelCost
 
@@ -91,13 +99,13 @@ def test_scaled_core_bit_identical_unverified_reject():
     assert legacy.to_json() == scaled.to_json()
 
 
-def test_sweep_point_use_scale_matches_legacy_run_point():
+def test_sweep_point_matches_legacy_fleet():
     point = SweepPoint(costs=toy_costs(), model="m", policy_kind="dynamic",
                        devices=4, rate_rps=400.0, duration_s=1.0)
-    from dataclasses import replace
-    legacy = run_point(point)
-    scaled = run_point(replace(point, use_scale=True))
-    assert legacy.to_json() == scaled.to_json()
+    legacy = FleetSimulator(point.costs, devices=4,
+                            admission=AdmissionPolicy(point.max_queue))
+    report = legacy.run(OpenLoopPoisson(("m",), 400.0, 1.0), rate_rps=400.0)
+    assert report.to_json() == run_point(point).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +460,87 @@ def test_autoscaled_run_is_deterministic():
         sim.run(DiurnalTrace(MODELS, 2000.0, 2.0, trough_fraction=0.1))
         return json.dumps(sim.payload, sort_keys=True)
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# Faults and monitoring with cells > 1
+# ---------------------------------------------------------------------------
+def cell_crash_run(crashed, routing="round_robin"):
+    """8 devices in 4 cells; ``crashed`` devices die for good at 0.2 s."""
+    plan = FaultPlan(name="cells", crash=CrashSpec(
+        at=tuple((device, 0.2) for device in crashed)))
+    sim = ScaledFleetSimulator(
+        toy_costs(), devices=8, cells=4, routing=routing,
+        collect_trace=True, fault_plan=plan,
+        resilience=ResiliencePolicy(eject_threshold=1, cooldown_s=50.0))
+    report = sim.run(OpenLoopPoisson(("m",), 400.0, 2.0), rate_rps=400.0)
+    ejected_s = max(e["t_s"] for e in sim.trace_log if e["kind"] == "eject")
+    late = Counter(e["device"] for e in sim.trace_log
+                   if e["kind"] == "batch" and e["t_s"] > ejected_s)
+    return report, sim.trace_log, ejected_s, late
+
+
+@pytest.mark.parametrize("routing", ["round_robin", "least_loaded"])
+def test_ejected_device_is_probed_around_inside_its_cell(routing):
+    report, trace, _, late = cell_crash_run((0,), routing)
+    assert report.devices_ejected == 1
+    assert report.failed == 0 and report.rejected == 0
+    assert report.completed == report.offered
+    # Device 0's share goes to device 1, its cell mate, not elsewhere.
+    assert late[0] == 0
+    assert late[1] > max(late[d] for d in range(2, 8))
+    assert not any(e["kind"] == "shed" for e in trace)
+
+
+@pytest.mark.parametrize("routing", ["round_robin", "least_loaded"])
+def test_cell_with_no_admitted_device_passes_to_next_active_cell(routing):
+    report, trace, _, late = cell_crash_run((0, 1), routing)
+    assert report.devices_ejected == 2
+    assert report.failed == 0 and report.rejected == 0
+    assert report.completed == report.offered
+    # Cell 0's share goes to cell 1 (devices 2-3), the next active cell.
+    assert late[0] == late[1] == 0
+    assert min(late[2], late[3]) > max(late[d] for d in range(4, 8))
+    assert not any(e["kind"] == "shed" for e in trace)
+
+
+def test_sheds_only_when_no_active_cell_has_an_admitted_device():
+    report, trace, ejected_s, late = cell_crash_run(range(8))
+    assert report.devices_ejected == 8
+    sheds = [e["t_s"] for e in trace if e["kind"] == "shed"]
+    assert sheds and min(sheds) > ejected_s
+    assert report.rejected == len(sheds)
+    assert not late
+
+
+def test_monitored_cell_crash_pages_within_the_detection_bound():
+    # 60 devices in 4 cells; cell 1 (devices 15-29) goes down at 4 s for
+    # 6 s.  The page must fire within the monitoring_slo bound: one SLO
+    # deadline for the misses to surface plus the page rule's long and
+    # short windows.
+    costs = toy_costs()
+    plan = FaultPlan(name="cell-crash", crash=CrashSpec(
+        at=tuple((device, 4.0) for device in range(15, 30)),
+        outage_s=6.0))
+
+    def run(monitor_config):
+        sim = ScaledFleetSimulator(costs, devices=60, cells=4,
+                                   routing="round_robin", fault_plan=plan,
+                                   monitor_config=monitor_config)
+        report = sim.run(OpenLoopPoisson(("m",), 600.0, 12.0),
+                         rate_rps=600.0)
+        return report, sim.monitor_payload
+
+    report, payload = run(MonitorConfig())
+    assert validate_monitor_report(payload) == []
+    pages = [e for e in payload["alerts"]
+             if e["severity"] == "page" and e["kind"] == "fire"]
+    slo_s = DEFAULT_SLO_MULTIPLIER * costs.latency_s("m")
+    assert pages and 4.0 < pages[0]["t_s"] <= 4.0 + slo_s + 2.0 + 0.5
+    assert payload["active_alerts"] == []
+    assert report.faults == {"device_crash": 15}
+    plain, _ = run(None)
+    assert plain.to_json() == report.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ from repro.serving import (
     BatchPolicy,
     ClosedLoop,
     DiurnalTrace,
-    FleetSimulator,
     Launch,
     OpenLoopPoisson,
     Request,
+    ScaledFleetSimulator,
     ServiceCosts,
     TraceReplay,
     Wait,
@@ -318,9 +318,9 @@ def test_percentile_nearest_rank():
 def test_invalid_fleet_configs_rejected():
     costs = toy_costs()
     with pytest.raises(ValueError):
-        FleetSimulator(costs, devices=0)
+        ScaledFleetSimulator(costs, devices=0)
     with pytest.raises(ValueError):
-        FleetSimulator(costs, routing="random")
+        ScaledFleetSimulator(costs, routing="random")
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def test_unverified_model_is_shed_at_admission():
         costs={"m": ModelCost(0.010, 0.005, verified=False)},
         amortized_fraction=0.5)
     workload = ClosedLoop(["m"], clients=2, duration_s=0.5, think_s=0.01)
-    report = FleetSimulator(costs).run(workload)
+    report = ScaledFleetSimulator(costs).run(workload)
     assert report.completed == 0
     assert report.verify_rejected == report.rejected == report.offered > 0
     assert report.slo_attainment == 0.0
@@ -364,7 +364,8 @@ def test_require_verified_false_restores_service():
         costs={"m": ModelCost(0.010, 0.005, verified=False)},
         amortized_fraction=0.5)
     workload = ClosedLoop(["m"], clients=2, duration_s=0.5, think_s=0.01)
-    report = FleetSimulator(costs, require_verified=False).run(workload)
+    report = ScaledFleetSimulator(costs, require_verified=False).run(
+        workload)
     assert report.completed > 0
     assert report.verify_rejected == 0
 

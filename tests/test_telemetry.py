@@ -227,14 +227,14 @@ def test_cache_counters(tmp_path):
 def _run_fleet(collect_trace=True):
     from repro.serving import (
         BatchPolicy,
-        FleetSimulator,
         OpenLoopPoisson,
+        ScaledFleetSimulator,
         ServiceCosts,
     )
     costs = ServiceCosts.resolve(["tinynet"])
     workload = OpenLoopPoisson(["tinynet"], 200.0, 0.5)
-    sim = FleetSimulator(costs, devices=2, batch_policy=BatchPolicy(),
-                         collect_trace=collect_trace)
+    sim = ScaledFleetSimulator(costs, devices=2, batch_policy=BatchPolicy(),
+                               collect_trace=collect_trace)
     report = sim.run(workload, rate_rps=200.0)
     return sim, report
 
