@@ -29,33 +29,38 @@ SEED = "12345"
 RETENTION_BAR = 0.90
 
 
+def _plan():
+    from repro.faults import CrashSpec, FaultPlan
+    return FaultPlan(name="crash-1pct",
+                     crash=CrashSpec(p_per_device_s=0.01, outage_s=None))
+
+
+def _report(points, jobs):
+    from repro.faults import chaos_report
+    from repro.runtime import parallel_map
+    from repro.serving import run_fleet
+    outcomes = parallel_map(run_fleet, [run for _, run in points],
+                            jobs=jobs)
+    return chaos_report(_plan(), points,
+                        [report for report, _, _ in outcomes])
+
+
 def _sweep():
-    from repro.faults import (
-        CrashSpec,
-        FaultPlan,
-        chaos_grid,
-        chaos_report,
-        run_chaos,
-    )
+    from repro.faults import chaos_grid
     from repro.serving import ServiceCosts
 
-    plan = FaultPlan(name="crash-1pct",
-                     crash=CrashSpec(p_per_device_s=0.01, outage_s=None))
-    points = chaos_grid(plan=plan, scales=(1.0,), model="bert",
+    points = chaos_grid(plan=_plan(), scales=(1.0,), model="bert",
                         devices=6, rate_rps=120.0, duration_s=20.0,
                         costs=ServiceCosts.resolve(["bert"]))
-    return points, run_chaos(points, jobs=1), chaos_report
+    return points, _report(points, jobs=1)
 
 
 def test_resilient_policy_holds_goodput_under_crashes(benchmark,
                                                       monkeypatch):
     monkeypatch.setenv("REPRO_SEED", SEED)
-    from repro.faults import chaos_report_json, run_chaos, \
-        validate_chaos_report
+    from repro.faults import chaos_report_json, validate_chaos_report
 
-    points, reports, chaos_report = benchmark.pedantic(
-        _sweep, rounds=1, iterations=1)
-    payload = chaos_report(points, reports)
+    points, payload = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     assert validate_chaos_report(payload) == []
 
     faulted = {r["policy"]: r for r in payload["rows"]
@@ -81,7 +86,7 @@ def test_resilient_policy_holds_goodput_under_crashes(benchmark,
     assert faulted["naive"]["retries"] == 0
 
     # Determinism: --jobs must not change a byte of the report.
-    forked = chaos_report(points, run_chaos(points, jobs=2))
+    forked = _report(points, jobs=2)
     assert chaos_report_json(forked) == chaos_report_json(payload)
 
     BENCH_ARTIFACT.write_text(json.dumps({

@@ -50,12 +50,13 @@ def test_event_core_speedup_and_bit_identity(benchmark, monkeypatch):
     from repro.runtime import parallel_map
     from repro.serving import (
         AutoscaleConfig,
+        DiurnalTrace,
+        FleetRun,
         FleetSimulator,
         OpenLoopPoisson,
         ScaledFleetSimulator,
-        ScalePoint,
         ServiceCosts,
-        run_scale_point,
+        run_fleet,
         tail_bounded_throughput,
         validate_fleet_scale_report,
     )
@@ -109,12 +110,14 @@ def test_event_core_speedup_and_bit_identity(benchmark, monkeypatch):
     assert bit_identical
 
     # -- serial vs --jobs, byte for byte --------------------------------
-    points = [ScalePoint(costs=costs, models=models, devices=32, cells=4,
-                         peak_rps=800.0, duration_s=2.0,
-                         autoscale=bool(i % 2), stream=i)
-              for i in range(4)]
-    serial = parallel_map(run_scale_point, points, jobs=1)
-    forked = parallel_map(run_scale_point, points, jobs=2)
+    runs = [FleetRun(costs, DiurnalTrace(models, 800.0, 2.0, stream=i),
+                     devices=32, cells=4, routing="round_robin",
+                     autoscale=AutoscaleConfig() if i % 2 else None)
+            for i in range(4)]
+    serial = [payload for _, payload, _ in
+              parallel_map(run_fleet, runs, jobs=1)]
+    forked = [payload for _, payload, _ in
+              parallel_map(run_fleet, runs, jobs=2)]
     jobs_identical = (json.dumps(serial, sort_keys=True)
                       == json.dumps(forked, sort_keys=True))
     assert jobs_identical

@@ -42,17 +42,26 @@ OVERHEAD_BAR = 0.05
 
 def _points():
     from repro.faults import CrashSpec, FaultPlan
-    from repro.serving import MonitorPoint, ServiceCosts
+    from repro.serving import (
+        FleetRun,
+        MonitorConfig,
+        OpenLoopPoisson,
+        ServiceCosts,
+    )
 
     costs = ServiceCosts.resolve(["bert"])
     zoo_costs = ServiceCosts.resolve(["bert", "resnet50"])
     plan = FaultPlan(name="mon-crash-a",
                      crash=CrashSpec(p_per_device_s=0.01, outage_s=6.0))
-    crash = MonitorPoint(costs=costs, models=("bert",), devices=6,
-                         rate_rps=120.0, duration_s=20.0, fault_plan=plan)
-    zoo = MonitorPoint(costs=zoo_costs, models=("bert", "resnet50"),
-                       devices=6, rate_rps=60.0, duration_s=20.0)
+    crash = FleetRun(costs, OpenLoopPoisson(("bert",), 120.0, 20.0),
+                     devices=6, routing="round_robin", fault_plan=plan,
+                     monitor_config=MonitorConfig())
+    zoo = FleetRun(zoo_costs,
+                   OpenLoopPoisson(("bert", "resnet50"), 60.0, 20.0),
+                   devices=6, routing="round_robin",
+                   monitor_config=MonitorConfig())
     return plan, crash, zoo
+
 
 
 def _serve_seconds(monitored, runs=2):
@@ -81,18 +90,17 @@ def test_crash_detection_quiet_controls_and_overhead(benchmark,
     from repro.runtime import parallel_map
     from repro.serving import (
         DEFAULT_SLO_MULTIPLIER,
-        run_monitor_point,
+        run_fleet,
         validate_monitor_report,
     )
 
     plan, crash_point, zoo_point = _points()
     results = benchmark.pedantic(
-        lambda: parallel_map(run_monitor_point,
-                             [crash_point, zoo_point], jobs=1),
+        lambda: parallel_map(run_fleet, [crash_point, zoo_point], jobs=1),
         rounds=1, iterations=1)
-    crashed, zoo = results
-    for result in results:
-        assert validate_monitor_report(result["monitor"]) == []
+    (_, _, monitor), (_, _, zoo_monitor) = results
+    for _, _, payload in results:
+        assert validate_monitor_report(payload) == []
 
     # -- the crash run pages within the detection-latency bound --------
     injector = FaultInjector(plan, devices=6, duration_s=20.0)
@@ -100,7 +108,6 @@ def test_crash_detection_quiet_controls_and_overhead(benchmark,
     first_crash_s = injector.crashes[0][0]
     assert first_crash_s < 15.0, (
         f"first crash at {first_crash_s:.2f}s leaves no run to observe")
-    monitor = crashed["monitor"]
     pages = [e for e in monitor["alerts"]
              if e["severity"] == "page" and e["kind"] == "fire"]
     assert pages, "seeded crash never paged"
@@ -127,18 +134,18 @@ def test_crash_detection_quiet_controls_and_overhead(benchmark,
         "an alert fired before any fault was injected")
 
     # -- fault-free runs stay silent -----------------------------------
-    assert zoo["monitor"]["alerts"] == [], "healthy zoo mix paged"
-    assert zoo["monitor"]["slo"]["bad"] == 0
+    assert zoo_monitor["alerts"] == [], "healthy zoo mix paged"
+    assert zoo_monitor["slo"]["bad"] == 0
     llm_payload = _llm_monitor_payload()
     assert validate_monitor_report(llm_payload) == []
     assert llm_payload["alerts"] == [], "healthy LLM engine paged"
     assert llm_payload["slo"]["bad"] == 0
 
     # -- determinism: serial vs --jobs, byte for byte ------------------
-    forked = parallel_map(run_monitor_point,
-                          [crash_point, zoo_point], jobs=2)
-    serial_json = json.dumps(results, sort_keys=True)
-    assert json.dumps(forked, sort_keys=True) == serial_json
+    forked = parallel_map(run_fleet, [crash_point, zoo_point], jobs=2)
+    serial_json = json.dumps([(p, m) for _, p, m in results], sort_keys=True)
+    assert json.dumps([(p, m) for _, p, m in forked],
+                      sort_keys=True) == serial_json
 
     # -- observational overhead at the serve-command level -------------
     plain_s = _serve_seconds(monitored=False)
@@ -162,7 +169,7 @@ def test_crash_detection_quiet_controls_and_overhead(benchmark,
         "detection_bound_s": round(bound_s, 3),
         "alerts": monitor["alerts"],
         "alert_counts": monitor["counts"],
-        "fault_free_zoo_alerts": len(zoo["monitor"]["alerts"]),
+        "fault_free_zoo_alerts": len(zoo_monitor["alerts"]),
         "fault_free_llm_alerts": len(llm_payload["alerts"]),
         "serial_vs_jobs_identical": True,
         "overhead_bar": OVERHEAD_BAR,

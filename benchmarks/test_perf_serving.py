@@ -22,11 +22,18 @@ BENCH_ARTIFACT = REPO_ROOT / "BENCH_serving.json"
 SLO_ATTAINMENT = 0.95
 
 
+def _run(points, jobs):
+    from repro.runtime import parallel_map
+    from repro.serving import run_fleet
+    return [report for report, _, _ in
+            parallel_map(run_fleet, points, jobs=jobs)]
+
+
 def _sweep():
-    from repro.serving import ServiceCosts, default_grid, run_sweep
+    from repro.serving import ServiceCosts, default_grid
     costs = ServiceCosts.resolve(["bert"])
     points = default_grid(costs=costs)
-    return points, run_sweep(points, jobs=1)
+    return points, _run(points, jobs=1)
 
 
 def test_latency_throughput_knee_and_fleet_scaling(benchmark):
@@ -34,7 +41,6 @@ def test_latency_throughput_knee_and_fleet_scaling(benchmark):
         by_config,
         knee_sharpness,
         max_throughput_at_slo,
-        run_sweep,
         sweep_table,
     )
     points, reports = benchmark.pedantic(_sweep, rounds=1, iterations=1)
@@ -66,7 +72,7 @@ def test_latency_throughput_knee_and_fleet_scaling(benchmark):
 
     # Determinism: a --jobs run must be byte-identical to the serial one.
     serial_table = sweep_table(reports)
-    parallel_table = sweep_table(run_sweep(points, jobs=2))
+    parallel_table = sweep_table(_run(points, jobs=2))
     assert parallel_table == serial_table
 
     BENCH_ARTIFACT.write_text(json.dumps({

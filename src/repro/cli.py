@@ -356,28 +356,52 @@ def _cmd_serve_llm(args) -> int:
         run_llm_sweep,
         validate_llm_report,
     )
-    from .serving import LLM_SCHEDULERS, LLMServiceCosts, make_llm_batcher
+    from .serving import (
+        LLM_SCHEDULERS,
+        LLMMonitor,
+        LLMServiceCosts,
+        MonitorConfig,
+        default_max_slots,
+        llm_poisson_requests,
+        make_llm_batcher,
+        monitoring_enabled,
+    )
+    from .serving.workload import _check_generator
+
+    def refuse(message) -> int:
+        print(f"repro serve: {message}", file=sys.stderr)
+        return 2
 
     schedulers = tuple(s.strip() for s in args.schedulers.split(",")
                        if s.strip())
     unknown = [s for s in schedulers if s not in LLM_SCHEDULERS]
     if unknown:
-        print(f"repro serve: unknown LLM schedulers {', '.join(unknown)}; "
-              f"known: {', '.join(LLM_SCHEDULERS)}", file=sys.stderr)
-        return 2
+        return refuse(f"unknown LLM schedulers {', '.join(unknown)}; "
+                      f"known: {', '.join(LLM_SCHEDULERS)}")
     rates = None
     if args.rates:
         try:
             rates = tuple(float(r) for r in args.rates.split(",")
                           if r.strip())
         except ValueError:
-            print(f"repro serve: --rates must be comma-separated numbers, "
-                  f"got {args.rates!r}", file=sys.stderr)
-            return 2
+            return refuse(f"--rates must be comma-separated numbers, "
+                          f"got {args.rates!r}")
+    if args.slots is not None and args.slots < 1:
+        return refuse(f"--slots must be >= 1, got {args.slots}")
+    # Every argument is checked here, before LLMServiceCosts.resolve
+    # compiles anything.  The default ladder's rates are positive by
+    # construction, so without --rates only the horizon needs a check.
+    try:
+        for rate in rates or (1.0,):
+            _check_generator("rate_rps", rate, args.duration)
+        monitor = (LLMMonitor(MonitorConfig.from_env(
+            interval_s=args.monitor_interval))
+            if monitoring_enabled(args.monitor) else None)
+    except ValueError as err:
+        return refuse(err)
     costs = LLMServiceCosts.resolve(args.llm_config,
                                     kv_budget_tokens=args.kv_budget)
-    from .serving import default_max_slots
-    max_slots = args.slots if args.slots else default_max_slots()
+    max_slots = args.slots if args.slots is not None else default_max_slots()
     points = llm_grid(costs=costs, schedulers=schedulers, rates=rates,
                       duration_s=args.duration, max_slots=max_slots)
     jobs = args.jobs if args.jobs is not None else 1
@@ -400,36 +424,28 @@ def _cmd_serve_llm(args) -> int:
                    if payload["summary"]["continuous_beats_oneshot"]
                    else "continuous batching does NOT beat one-shot")
         print(verdict)
-    from .serving import monitoring_enabled
-    if monitoring_enabled(args.monitor):
-        # Re-run the busiest continuous point with the monitor attached
-        # (monitoring is observational, so the sweep numbers above are
-        # untouched) and render its dashboard.
-        from .serving import (
-            LLMMonitor,
-            MonitorConfig,
-            llm_poisson_requests,
-            validate_monitor_report,
-        )
-        from .telemetry.dashboard import render_dashboard
-        monitored = max((p for p in points if p.scheduler == "continuous"),
-                        default=points[-1], key=lambda p: p.rate_rps)
-        monitor = LLMMonitor(
-            MonitorConfig.from_env(interval_s=args.monitor_interval))
-        requests = llm_poisson_requests(
-            monitored.rate_rps, monitored.duration_s,
-            monitored.prompt_range, monitored.output_range,
-            monitored.stream)
-        batcher = make_llm_batcher(monitored.scheduler, monitored.costs,
-                                   max_slots=monitored.max_slots,
+    if monitor is not None or args.trace_out:
+        # Re-run the busiest continuous point once with the observers
+        # attached (both are observational, so the sweep numbers above
+        # are untouched).
+        busiest = max((p for p in points if p.scheduler == "continuous"),
+                      default=points[-1], key=lambda p: p.rate_rps)
+        batcher = make_llm_batcher(busiest.scheduler, busiest.costs,
+                                   max_slots=busiest.max_slots,
+                                   collect_trace=bool(args.trace_out),
                                    monitor=monitor)
-        batcher.run(requests, rate_rps=monitored.rate_rps,
-                    duration_s=monitored.duration_s)
+        batcher.run(llm_poisson_requests(
+            busiest.rate_rps, busiest.duration_s, busiest.prompt_range,
+            busiest.output_range, busiest.stream),
+            rate_rps=busiest.rate_rps, duration_s=busiest.duration_s)
+    if monitor is not None:
+        from .serving import validate_monitor_report
+        from .telemetry.dashboard import render_dashboard
         monitor_payload = monitor.payload(context={
             "config": args.llm_config,
-            "scheduler": monitored.scheduler,
-            "rate_rps": monitored.rate_rps,
-            "duration_s": monitored.duration_s,
+            "scheduler": busiest.scheduler,
+            "rate_rps": busiest.rate_rps,
+            "duration_s": busiest.duration_s,
         })
         problems = validate_monitor_report(monitor_payload)
         if problems:  # pragma: no cover - internal invariant
@@ -449,23 +465,11 @@ def _cmd_serve_llm(args) -> int:
             llm_trace_events,
             write_trace,
         )
-        # Re-run the busiest continuous point with tracing on.
-        traced = max((p for p in points if p.scheduler == "continuous"),
-                     default=points[-1], key=lambda p: p.rate_rps)
-        from .serving import llm_poisson_requests
-        requests = llm_poisson_requests(
-            traced.rate_rps, traced.duration_s, traced.prompt_range,
-            traced.output_range, traced.stream)
-        batcher = make_llm_batcher(traced.scheduler, traced.costs,
-                                   max_slots=traced.max_slots,
-                                   collect_trace=True)
-        batcher.run(requests, rate_rps=traced.rate_rps,
-                    duration_s=traced.duration_s)
         trace_payload = chrome_trace(
             [], device_events=llm_trace_events(batcher.trace_log),
             extra_other_data={"config": args.llm_config,
-                              "scheduler": traced.scheduler,
-                              "rate_rps": traced.rate_rps})
+                              "scheduler": busiest.scheduler,
+                              "rate_rps": busiest.rate_rps})
         write_trace(args.trace_out, trace_payload)
         print(f"wrote {args.trace_out}")
     if args.json:
@@ -523,8 +527,7 @@ def cmd_serve(args) -> int:
     # nothing is being injected.
     resilience_kind = args.resilience or (
         "resilient" if fault_plan is not None else "naive")
-    resilience = (ResiliencePolicy() if resilience_kind == "resilient"
-                  else ResiliencePolicy.naive())
+    resilience = ResiliencePolicy(kind=resilience_kind)
     # Every argument is checked here, before ServiceCosts.resolve
     # compiles anything.
     try:
@@ -698,10 +701,10 @@ def cmd_chaos(args) -> int:
         chaos_report_json,
         chaos_table,
         default_plan,
-        run_chaos,
         validate_chaos_report,
     )
-    from .serving import RESILIENCE_POLICIES, ServiceCosts
+    from .runtime import parallel_map
+    from .serving import RESILIENCE_POLICIES, ServiceCosts, run_fleet
 
     plan = FaultPlan.from_file(args.plan) if args.plan else default_plan()
     try:
@@ -719,13 +722,14 @@ def cmd_chaos(args) -> int:
         return 2
     models = [m.strip() for m in args.model.split(",") if m.strip()]
     costs = ServiceCosts.resolve(models)
-    points = chaos_grid(plan=plan, scales=scales, policies=policies,
-                        model=models[0], devices=args.devices,
-                        rate_rps=args.rate, duration_s=args.duration,
-                        costs=costs)
+    grid = chaos_grid(plan=plan, scales=scales, policies=policies,
+                      model=models[0], devices=args.devices,
+                      rate_rps=args.rate, duration_s=args.duration,
+                      costs=costs)
     jobs = args.jobs if args.jobs is not None else 1
-    reports = run_chaos(points, jobs=jobs)
-    payload = chaos_report(points, reports)
+    outcomes = parallel_map(run_fleet, [run for _, run in grid], jobs=jobs)
+    payload = chaos_report(plan, grid,
+                           [report for report, _, _ in outcomes])
     problems = validate_chaos_report(payload)
     if problems:  # pragma: no cover - internal invariant
         print("repro chaos: invalid report:\n  " + "\n  ".join(problems),

@@ -16,13 +16,10 @@ under ``--jobs``.
 from .chaos import (
     CHAOS_SCHEMA,
     DEFAULT_SCALES,
-    ChaosPoint,
     chaos_grid,
     chaos_report,
     chaos_report_json,
     chaos_table,
-    run_chaos,
-    run_chaos_point,
     validate_chaos_report,
 )
 from .corrupt import (
@@ -51,7 +48,6 @@ __all__ = [
     "DEFAULT_SCALES",
     "FAULT_KINDS",
     "BurstSpec",
-    "ChaosPoint",
     "CorruptSpec",
     "CrashSpec",
     "FaultInjector",
@@ -68,8 +64,6 @@ __all__ = [
     "default_plan",
     "measured_detection_rate",
     "model_sites",
-    "run_chaos",
-    "run_chaos_point",
     "validate_chaos_report",
     "word_sites",
 ]

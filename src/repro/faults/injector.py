@@ -18,7 +18,7 @@ process (the property ``tests/test_faults.py`` pins serial vs
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..runtime import seeded_rng
 from ..runtime.seed import repro_seed
@@ -122,15 +122,3 @@ class FaultInjector:
             if d == device and start <= t_s < end:
                 factor = max(factor, self.plan.slowdown.factor)
         return factor
-
-    def expected_faults(self) -> Dict[str, float]:
-        """Expected fault counts — the chaos report's sanity column."""
-        plan = self.plan
-        return {
-            "device_crash": len(self.crashes),
-            "device_slowdown": len(self.slowdowns),
-            "queue_burst": len(self.bursts),
-            "flaky_compile": plan.flaky_compile.p,
-            "tile_fault": plan.tile_fault.p_per_batch,
-            "corrupt_program": plan.corrupt.p_per_download,
-        }

@@ -8,7 +8,7 @@ factors); ``python -m repro.harness`` renders EXPERIMENTS.md content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Tuple
 
 from .. import analysis
@@ -701,16 +701,17 @@ def serving_sweep() -> Experiment:
     saturation, larger fleets move the knee right, and dynamic batching
     beats single-request serving at high load.
     """
-    from ..runtime import default_jobs
+    from ..runtime import default_jobs, parallel_map
     from ..serving import (
         by_config,
         default_grid,
         knee_sharpness,
         max_throughput_at_slo,
-        run_sweep,
+        run_fleet,
         sweep_table,
     )
-    reports = run_sweep(default_grid(), jobs=default_jobs())
+    reports = [report for report, _, _ in
+               parallel_map(run_fleet, default_grid(), jobs=default_jobs())]
     ladders = by_config(reports)
     capacity = {fleet: max_throughput_at_slo(ladders[("dynamic", fleet)])
                 for fleet in (1, 2, 4)}
@@ -862,26 +863,25 @@ def monitoring_slo() -> Experiment:
     from ..faults import FaultInjector, FaultPlan
     from ..faults.plan import CrashSpec
     from ..serving import (
-        BatchPolicy,
-        MonitorPoint,
+        FleetRun,
+        MonitorConfig,
         OpenLoopPoisson,
-        ResiliencePolicy,
-        ScaledFleetSimulator,
         ServiceCosts,
-        run_monitor_point,
+        run_fleet,
     )
 
     costs = ServiceCosts.resolve(["bert"])
     plan = FaultPlan(name="mon-crash-a",
                      crash=CrashSpec(p_per_device_s=0.01, outage_s=6.0))
-    base = dict(costs=costs, models=("bert",), devices=6,
-                rate_rps=120.0, duration_s=20.0)
-    crashed = run_monitor_point(MonitorPoint(fault_plan=plan, **base))
-    control = run_monitor_point(MonitorPoint(**base))
+    control_run = FleetRun(costs, OpenLoopPoisson(("bert",), 120.0, 20.0),
+                           devices=6, routing="round_robin",
+                           monitor_config=MonitorConfig())
+    crashed_run = replace(control_run, fault_plan=plan)
+    crashed, _, monitor = run_fleet(crashed_run)
+    control = run_fleet(control_run)[2]
 
     injector = FaultInjector(plan, devices=6, duration_s=20.0)
     first_crash_s = injector.crashes[0][0]
-    monitor = crashed["monitor"]
     pages = [e for e in monitor["alerts"]
              if e["rule"] == "page-fast-burn" and e["kind"] == "fire"]
     resolves = [e for e in monitor["alerts"] if e["kind"] == "resolve"]
@@ -900,14 +900,10 @@ def monitoring_slo() -> Experiment:
         "all_alerts_resolve_after_recovery": (
             True, bool(resolves) and not monitor["active_alerts"]),
         "fault_free_run_fires_zero_alerts": (
-            True, control["monitor"]["alerts"] == []),
+            True, control["alerts"] == []),
         "monitoring_is_observational (serving report unchanged)": (
-            True, crashed["serving"] == ScaledFleetSimulator(
-                costs, devices=6, batch_policy=BatchPolicy(),
-                routing="round_robin", fault_plan=plan,
-                resilience=ResiliencePolicy.naive()).run(
-                    OpenLoopPoisson(("bert",), 120.0, 20.0),
-                    rate_rps=120.0).as_dict()),
+            True, crashed == run_fleet(
+                replace(crashed_run, monitor_config=None))[0]),
         "burn_rate_rules_evaluated": (2, len(rule_names)),
     }
     lines = [f"first crash at {first_crash_s:.2f}s; page fired at "
@@ -926,8 +922,8 @@ def monitoring_slo() -> Experiment:
              for e in monitor["alerts"]],
             title="alert log (seeded crash plan mon-crash-a)"),
         notes="; ".join(lines[:1]) + f"; control run: "
-              f"{control['monitor']['slo']['bad']} bad events, "
-              f"{len(control['monitor']['alerts'])} alert events")
+              f"{control['slo']['bad']} bad events, "
+              f"{len(control['alerts'])} alert events")
 
 
 @experiment("fleet_scale")

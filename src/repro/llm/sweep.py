@@ -8,11 +8,14 @@ batching sustains strictly more goodput than one-shot dynamic batching,
 because slots freed by short requests are refilled immediately instead
 of decoding padding until the longest member finishes.
 
-Work items follow the :mod:`repro.serving.sweep` discipline: frozen,
-picklable points carrying their own :class:`LLMServiceCosts`, fanned
-out through :func:`repro.runtime.parallel.parallel_map`, every point a
-pure function of ``(REPRO_SEED, point)`` — serial and ``--jobs N``
-sweeps produce byte-identical reports.
+Work items are frozen, picklable :class:`LLMSweepPoint` cells carrying
+their own :class:`LLMServiceCosts`, fanned out through
+:func:`repro.runtime.parallel.parallel_map`, every point a pure function
+of ``(REPRO_SEED, point)`` — serial and ``--jobs N`` sweeps produce
+byte-identical reports.  They are the LLM engine's counterpart of the
+fleet's :class:`~repro.serving.scale.FleetRun`, and stay separate: the
+continuous batcher's decode-step clock and KV-budget admission are not
+events of the fleet core.
 
 The JSON report carries a ``schema`` tag (``repro-llm-report-v1``) and
 passes :func:`validate_llm_report`, which CI's llm-smoke job runs

@@ -5,7 +5,8 @@ Layers a discrete-event serving simulation on top of the ``npu`` /
 admission control + dynamic batching (:mod:`~repro.serving.scheduler`),
 the one serving event core (:mod:`~repro.serving.scale`: interned
 request records, cell routing, faults + resilience, the streaming
-monitor, the trace log, 1000+ devices), burn-rate/queue-depth cell
+monitor, the trace log, 1000+ devices; one run of it is a picklable
+:class:`~repro.serving.scale.FleetRun`), burn-rate/queue-depth cell
 autoscaling (:mod:`~repro.serving.autoscale`), SLO metrics
 (:mod:`~repro.serving.metrics`) and the ``serving_sweep`` grid
 (:mod:`~repro.serving.sweep`). :mod:`~repro.serving.fleet` keeps a
@@ -51,20 +52,17 @@ from .monitor import (
     FleetMonitor,
     LLMMonitor,
     MonitorConfig,
-    MonitorPoint,
     monitor_table,
     monitoring_enabled,
-    run_monitor_point,
     validate_monitor_report,
 )
 from .scale import (
     ROUTING_POLICIES,
     SCALE_SCHEMA,
+    FleetRun,
     ScaledFleetSimulator,
-    ScalePoint,
-    run_scale_point,
+    run_fleet,
     scale_table,
-    simulate,
     tail_bounded_throughput,
     validate_fleet_scale_report,
 )
@@ -81,13 +79,10 @@ from .scheduler import (
     plan_batch,
 )
 from .sweep import (
-    SweepPoint,
     by_config,
     default_grid,
     knee_sharpness,
     max_throughput_at_slo,
-    run_point,
-    run_sweep,
     sweep_table,
 )
 from .workload import (
@@ -122,6 +117,7 @@ __all__ = [
     "CostModel",
     "DeviceState",
     "DiurnalTrace",
+    "FleetRun",
     "FleetSimulator",
     "FleetMonitor",
     "LLMMonitor",
@@ -133,17 +129,14 @@ __all__ = [
     "MetricsCollector",
     "ModelCost",
     "MonitorConfig",
-    "MonitorPoint",
     "OneShotBatcher",
     "OpenLoopPoisson",
     "Request",
     "ResiliencePolicy",
     "Router",
-    "ScalePoint",
     "ScaledFleetSimulator",
     "ServiceCosts",
     "ServingReport",
-    "SweepPoint",
     "TraceReplay",
     "Wait",
     "Workload",
@@ -161,13 +154,9 @@ __all__ = [
     "max_throughput_at_slo",
     "percentile",
     "plan_batch",
-    "run_monitor_point",
-    "run_point",
-    "run_scale_point",
-    "run_sweep",
+    "run_fleet",
     "save_trace",
     "scale_table",
-    "simulate",
     "sweep_table",
     "tail_bounded_throughput",
     "validate_fleet_scale_report",

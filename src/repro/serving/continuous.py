@@ -29,13 +29,14 @@ fixed fraction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime import seeded_rng
 from .metrics import LLMServingReport, percentile
+from .monitor import env_int
 from .scheduler import DEFAULT_AMORTIZED_FRACTION
+from .workload import _check_generator
 
 #: SLO multiple over a request's *ideal* (isolated, unbatched) latency.
 DEFAULT_LLM_SLO_MULTIPLIER = 5.0
@@ -43,20 +44,12 @@ DEFAULT_LLM_SLO_MULTIPLIER = 5.0
 
 def default_kv_budget() -> int:
     """KV-cache admission budget in tokens (``REPRO_LLM_KV_BUDGET``)."""
-    value = os.environ.get("REPRO_LLM_KV_BUDGET", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1024
+    return max(1, env_int("REPRO_LLM_KV_BUDGET", 1024))
 
 
 def default_max_slots() -> int:
     """Decode-batch slot count (``REPRO_LLM_MAX_SLOTS``)."""
-    value = os.environ.get("REPRO_LLM_MAX_SLOTS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 8
+    return max(1, env_int("REPRO_LLM_MAX_SLOTS", 8))
 
 
 @dataclass(frozen=True)
@@ -78,8 +71,7 @@ def llm_poisson_requests(rate_rps: float, duration_s: float,
                          output_range: Tuple[int, int] = (4, 64),
                          stream: object = 0) -> List[LLMRequest]:
     """Open-loop Poisson arrivals with uniform prompt/output lengths."""
-    if rate_rps <= 0:
-        raise ValueError(f"rate_rps must be positive, got {rate_rps}")
+    _check_generator("rate_rps", rate_rps, duration_s)
     rng = seeded_rng("llm-poisson", rate_rps, duration_s,
                      tuple(prompt_range), tuple(output_range), stream)
     requests: List[LLMRequest] = []

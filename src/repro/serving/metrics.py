@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 # The exact nearest-rank estimator lives in telemetry.timeseries so the
 # end-of-run report and the streaming monitor histograms share ONE rank
@@ -264,14 +264,6 @@ class MetricsCollector:
         self.offered = 0
         self.rejected = 0
         self.verify_rejected = 0
-        self.failed = 0
-        self.bad_completions = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.compile_retries = 0
-        self.devices_ejected = 0
-        self.devices_readmitted = 0
-        self.faults: Dict[str, int] = {}
         self.slo_met = 0
         self.batches: List[int] = []
         self.queue_samples: List[int] = []
@@ -302,33 +294,13 @@ class MetricsCollector:
         """One launched batch of ``size`` requests."""
         self.batches.append(size)
 
-    def note_complete(self, request: Request, finish_s: float,
-                      born_s: Optional[float] = None,
-                      bad: bool = False) -> None:
-        """One completion; latency runs from the *original* arrival.
-
-        ``born_s`` is the first-attempt arrival time for retried
-        requests — a retry must not launder its queueing history out of
-        the latency distribution. ``bad`` marks a completion produced
-        by a corrupted resident program: it counts as completed (the
-        device did the work) but never as good.
-        """
-        start_s = request.arrival_s if born_s is None else born_s
-        latency_s = finish_s - start_s
+    def note_complete(self, request: Request, finish_s: float) -> None:
+        """One completion; latency runs from the request's arrival."""
+        latency_s = finish_s - request.arrival_s
         self.latencies_ms.append(latency_s * 1e3)
-        if bad:
-            self.bad_completions += 1
-        elif latency_s <= self.slo_s[request.model]:
+        if latency_s <= self.slo_s[request.model]:
             self.slo_met += 1
         self.last_finish_s = max(self.last_finish_s, finish_s)
-
-    def note_failed(self, request: Request) -> None:
-        """A request that will never complete (crash loss / retries out)."""
-        self.failed += 1
-
-    def note_fault(self, kind: str, count: int = 1) -> None:
-        """Tally an injected fault by kind (chaos runs only)."""
-        self.faults[kind] = self.faults.get(kind, 0) + count
 
     def report(self, *, models: Tuple[str, ...], devices: int,
                batch_policy: str, max_batch: int, max_wait_ms: float,
@@ -358,14 +330,6 @@ class MetricsCollector:
             completed=completed,
             rejected=self.rejected,
             verify_rejected=self.verify_rejected,
-            failed=self.failed,
-            bad_completions=self.bad_completions,
-            retries=self.retries,
-            timeouts=self.timeouts,
-            compile_retries=self.compile_retries,
-            devices_ejected=self.devices_ejected,
-            devices_readmitted=self.devices_readmitted,
-            faults=dict(sorted(self.faults.items())),
             makespan_s=makespan,
             throughput_rps=completed / horizon,
             goodput_rps=self.slo_met / horizon,

@@ -32,8 +32,10 @@ count.
 
 Everything is a pure function of ``(REPRO_SEED, inputs)``: sample and
 alert streams are byte-identical between serial and ``--jobs N`` runs,
-which ``benchmarks/test_perf_monitoring.py`` asserts via the picklable
-:class:`MonitorPoint` / :func:`run_monitor_point` pair.
+which ``benchmarks/test_perf_monitoring.py`` asserts by mapping
+monitored :class:`~repro.serving.scale.FleetRun` descriptions (a
+:class:`MonitorConfig` in ``monitor_config``) through
+:func:`~repro.serving.scale.run_fleet`.
 """
 
 from __future__ import annotations
@@ -104,10 +106,6 @@ def env_int(name: str, default: int) -> int:
         return default
 
 
-# Historical private names, kept for in-repo callers.
-_env_float = env_float
-_env_int = env_int
-
 
 @dataclass(frozen=True)
 class MonitorConfig:
@@ -144,9 +142,9 @@ class MonitorConfig:
         """Build a config from ``REPRO_MONITOR_*`` with CLI overrides."""
         return cls(
             interval_s=(interval_s if interval_s is not None
-                        else _env_float("REPRO_MONITOR_INTERVAL", 0.1)),
+                        else env_float("REPRO_MONITOR_INTERVAL", 0.1)),
             window_intervals=(window_intervals if window_intervals is not None
-                              else _env_int("REPRO_MONITOR_WINDOW", 10)),
+                              else env_int("REPRO_MONITOR_WINDOW", 10)),
             objective=default_objective(),
             rules=default_rules(),
             drain=drain,
@@ -649,55 +647,3 @@ def monitor_table(payload: Dict[str, Any]) -> str:
              f"{len(payload.get('alerts', []))} alert events")
     return render_table(("series", "kind", "samples", "max", "last"),
                         rows, title=title)
-
-
-# ---------------------------------------------------------------------------
-# Picklable sweep point (serial-vs-jobs determinism harness)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class MonitorPoint:
-    """One monitored fleet run, self-contained and picklable."""
-
-    costs: Any                      # ServiceCosts (frozen)
-    models: Tuple[str, ...]
-    devices: int
-    rate_rps: float
-    duration_s: float
-    routing: str = "round_robin"
-    batch_kind: str = "dynamic"
-    resilience_kind: str = "naive"
-    fault_plan: Any = None          # Optional[FaultPlan]
-    interval_s: float = 0.1
-    window_intervals: int = 10
-    slo_target: float = 0.999
-    stream: int = 0
-
-
-def run_monitor_point(point: MonitorPoint) -> Dict[str, Any]:
-    """Run one monitored point (module-level so process pools pickle it).
-
-    Returns ``{"serving": ServingReport.as_dict(), "monitor": payload}``
-    — both pure functions of ``(REPRO_SEED, point)``.
-    """
-    from .scale import ScaledFleetSimulator
-    from .scheduler import BatchPolicy, ResiliencePolicy
-    from .workload import OpenLoopPoisson
-    config = MonitorConfig(
-        interval_s=point.interval_s,
-        window_intervals=point.window_intervals,
-        objective=SLOObjective(target=point.slo_target),
-        rules=default_rules(),
-    )
-    sim = ScaledFleetSimulator(
-        point.costs,
-        devices=point.devices,
-        batch_policy=BatchPolicy(kind=point.batch_kind),
-        routing=point.routing,
-        fault_plan=point.fault_plan,
-        resilience=ResiliencePolicy(kind=point.resilience_kind),
-        monitor_config=config,
-    )
-    workload = OpenLoopPoisson(point.models, point.rate_rps,
-                               point.duration_s, stream=point.stream)
-    report = sim.run(workload, rate_rps=point.rate_rps)
-    return {"serving": report.as_dict(), "monitor": sim.monitor_payload}

@@ -66,6 +66,12 @@ troughs; the run then carries a ``repro-fleet-scale-report-v1``
 payload with the decision log, cell timeline, and the $/device-hour
 cost accounting (:func:`validate_fleet_scale_report` checks its
 shape).
+
+:class:`FleetRun` describes one run as the core's own constructor
+arguments plus the seeded workload, and :func:`run_fleet` runs it: the
+``serving_sweep`` grid, chaos ladders, the monitored runs and the
+autoscaled determinism checks are all lists of ``FleetRun`` mapped
+through that one picklable function.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from __future__ import annotations
 import heapq
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..runtime.seed import repro_seed
 from ..telemetry import get_telemetry
@@ -84,6 +90,7 @@ from .metrics import (
     DEFAULT_SLO_MULTIPLIER,
     ServingReport,
 )
+from .monitor import FleetMonitor, MonitorConfig
 from .scheduler import (
     AdmissionPolicy,
     BatchPolicy,
@@ -91,6 +98,9 @@ from .scheduler import (
     ServiceCosts,
 )
 from .workload import Request, Workload
+
+if TYPE_CHECKING:  # the faults package imports this module
+    from ..faults.plan import FaultPlan
 
 SCALE_SCHEMA = "repro-fleet-scale-report-v1"
 
@@ -310,7 +320,10 @@ class ScaledFleetSimulator:
         # None while the window is open).
         cost_windows: List[List[List[Optional[float]]]] = [
             [[0.0, None]] if c < start_cells else [] for c in range(ncell)]
-        good_pending = bad_pending = 0
+        # The autoscaler's per-boundary feed is the change in the SLO
+        # counters since the last boundary (good = met, bad = rejected or
+        # completed late/bad).
+        good_seen = bad_seen = 0
         boundary = 0
         next_b = interval if auto_on else float("inf")
         tl_t: List[float] = []
@@ -322,7 +335,6 @@ class ScaledFleetSimulator:
         # -- observers -------------------------------------------------
         mon = None
         if self.monitor_config is not None:
-            from .monitor import FleetMonitor
             mon = FleetMonitor(self.monitor_config, dict(zip(models, slo)),
                                ndev)
         self.monitor_payload = None
@@ -717,11 +729,13 @@ class ScaledFleetSimulator:
 
         def close_boundary(t_b: float) -> None:
             """One autoscale decision boundary at simulated ``t_b``."""
-            nonlocal good_pending, bad_pending, boundary, next_b
-            decision = ctrl.decide(t_b, good_pending, bad_pending,
+            nonlocal good_seen, bad_seen, boundary, next_b
+            bad_total = rejected + len(latencies) - slo_met
+            decision = ctrl.decide(t_b, slo_met - good_seen,
+                                   bad_total - bad_seen,
                                    queued_total, len(active_list),
                                    len(active_list) * csize)
-            good_pending = bad_pending = 0
+            good_seen, bad_seen = slo_met, bad_total
             if decision is not None:
                 action, reason = decision
                 cell = (activate_cell(t_b) if action == "scale-out"
@@ -793,8 +807,6 @@ class ScaledFleetSimulator:
                     rejected += 1
                     verify_rejected += 1
                     status[s] = _REJECTED
-                    if auto_on:
-                        bad_pending += 1
                     if tracing:
                         trace("verify-reject", now, model=models[m])
                     if mon is not None:
@@ -809,8 +821,6 @@ class ScaledFleetSimulator:
                         # instead of queueing against a black hole.
                         rejected += 1
                         status[s] = _REJECTED
-                        if auto_on:
-                            bad_pending += 1
                         if tracing:
                             trace("shed", now, model=models[m])
                         if mon is not None:
@@ -860,8 +870,6 @@ class ScaledFleetSimulator:
                 if qlen[dev] >= max_queue:
                     rejected += 1
                     status[s] = _REJECTED
-                    if auto_on:
-                        bad_pending += 1
                     if tracing:
                         trace("queue-reject", now, model=models[m])
                     if mon is not None:
@@ -901,14 +909,8 @@ class ScaledFleetSimulator:
                     latencies.append(lt * 1e3)
                     if bad:
                         bad_completions += 1
-                        if auto_on:
-                            bad_pending += 1
                     elif lt <= slo[arr_m[r]]:
                         slo_met += 1
-                        if auto_on:
-                            good_pending += 1
-                    elif auto_on:
-                        bad_pending += 1
                     if mon is not None:
                         mon.note_complete(r, now, lt * 1e3, bad=bad)
                     if has_follow:
@@ -1095,21 +1097,52 @@ class ScaledFleetSimulator:
         }
 
 
-def simulate(workload: Workload, costs: ServiceCosts, *, devices: int = 1,
-             batch_policy: Optional[BatchPolicy] = None,
-             admission: Optional[AdmissionPolicy] = None,
-             routing: str = "least_loaded",
-             slo_multiplier: float = DEFAULT_SLO_MULTIPLIER,
-             rate_rps: float = 0.0,
-             fault_plan=None,
-             resilience: Optional[ResiliencePolicy] = None) -> ServingReport:
-    """One-call convenience wrapper around :class:`ScaledFleetSimulator`."""
-    sim = ScaledFleetSimulator(costs, devices=devices,
-                               batch_policy=batch_policy,
-                               admission=admission, routing=routing,
-                               slo_multiplier=slo_multiplier,
-                               fault_plan=fault_plan, resilience=resilience)
-    return sim.run(workload, rate_rps=rate_rps)
+@dataclass(frozen=True)
+class FleetRun:
+    """One run of the event core: self-contained and picklable.
+
+    The fields are :class:`ScaledFleetSimulator`'s own constructor
+    arguments, with its defaults, plus the seeded ``workload`` (an
+    :class:`~repro.serving.workload.OpenLoopPoisson`,
+    :class:`~repro.serving.workload.DiurnalTrace` or trace replay, whose
+    ``rate_rps`` labels the report).  Every fleet sweep (the
+    ``serving_sweep`` grid, chaos ladders, monitored and autoscaled
+    runs) is a list of these mapped through :func:`run_fleet` by
+    :func:`repro.runtime.parallel.parallel_map`; a run is a pure
+    function of ``(REPRO_SEED, run)``, so serial and ``--jobs N``
+    sweeps are byte-identical.
+    """
+
+    costs: ServiceCosts
+    workload: Workload
+    devices: int = 1
+    cells: int = 1
+    batch_policy: BatchPolicy = BatchPolicy()
+    admission: AdmissionPolicy = AdmissionPolicy()
+    routing: str = "least_loaded"
+    slo_multiplier: float = DEFAULT_SLO_MULTIPLIER
+    autoscale: Optional[AutoscaleConfig] = None
+    fault_plan: Optional[FaultPlan] = None
+    resilience: ResiliencePolicy = ResiliencePolicy.naive()
+    monitor_config: Optional[MonitorConfig] = None
+
+
+def run_fleet(run: FleetRun) -> Tuple[ServingReport, Dict[str, Any],
+                                      Optional[Dict[str, Any]]]:
+    """Simulate one :class:`FleetRun` (module-level, so pools pickle it).
+
+    Returns the :class:`~repro.serving.metrics.ServingReport`, the
+    ``repro-fleet-scale-report-v1`` payload and the
+    ``repro-monitor-report-v1`` payload (``None`` when unmonitored).
+    """
+    sim = ScaledFleetSimulator(
+        run.costs, devices=run.devices, cells=run.cells,
+        batch_policy=run.batch_policy, admission=run.admission,
+        routing=run.routing, slo_multiplier=run.slo_multiplier,
+        autoscale=run.autoscale, fault_plan=run.fault_plan,
+        resilience=run.resilience, monitor_config=run.monitor_config)
+    report = sim.run(run.workload, rate_rps=run.workload.rate_rps)
+    return report, sim.payload, sim.monitor_payload
 
 
 def tail_bounded_throughput(report: ServingReport) -> float:
@@ -1240,53 +1273,3 @@ def scale_table(payload: Dict[str, Any]) -> str:
     title = (f"fleet scale: {payload['devices']} devices, "
              f"autoscale {'on' if payload['autoscale'] else 'off'}")
     return render_table(("metric", "value"), rows, title=title)
-
-
-# ---------------------------------------------------------------------------
-# Picklable sweep point (serial-vs-jobs determinism harness)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScalePoint:
-    """One scaled-fleet run over a diurnal trace; picklable."""
-
-    costs: Any                      # ServiceCosts (frozen)
-    models: Tuple[str, ...]
-    devices: int
-    cells: int
-    peak_rps: float
-    duration_s: float
-    trough_fraction: float = 0.25
-    routing: str = "round_robin"
-    batch_kind: str = "dynamic"
-    autoscale: bool = False
-    min_cells: int = 1
-    interval_s: float = 0.25
-    cooldown_s: float = 1.0
-    price_per_device_hour: float = 2.5
-    stream: int = 0
-
-
-def run_scale_point(point: ScalePoint) -> Dict[str, Any]:
-    """Run one scaled point (module-level so process pools pickle it).
-
-    Returns the ``repro-fleet-scale-report-v1`` payload — a pure
-    function of ``(REPRO_SEED, point)``, so serial and ``--jobs N``
-    sweeps are byte-identical.
-    """
-    from .workload import DiurnalTrace
-    config = None
-    if point.autoscale:
-        config = AutoscaleConfig(
-            interval_s=point.interval_s,
-            min_cells=point.min_cells,
-            cooldown_s=point.cooldown_s,
-            price_per_device_hour=point.price_per_device_hour)
-    sim = ScaledFleetSimulator(
-        point.costs, devices=point.devices, cells=point.cells,
-        batch_policy=BatchPolicy(kind=point.batch_kind),
-        routing=point.routing, autoscale=config)
-    trace = DiurnalTrace(point.models, point.peak_rps, point.duration_s,
-                         trough_fraction=point.trough_fraction,
-                         stream=point.stream)
-    sim.run(trace, rate_rps=point.peak_rps)
-    return sim.payload

@@ -69,6 +69,9 @@ class Workload:
 
     #: Nominal traffic horizon; metrics normalize throughput against it.
     duration_s: float = 0.0
+    #: Nominal offered rate (req/s) a report is labelled with; 0 for
+    #: closed loops and plain trace replays.
+    rate_rps: float = 0.0
 
     def initial(self) -> List[Request]:
         raise NotImplementedError
@@ -95,7 +98,7 @@ class OpenLoopPoisson(Workload):
 
     def __init__(self, models: Sequence[str], rate_rps: float,
                  duration_s: float, stream: object = 0):
-        _check_generator(models, "rate_rps", rate_rps, duration_s)
+        _check_generator("rate_rps", rate_rps, duration_s, models)
         self.models = tuple(models)
         self.rate_rps = float(rate_rps)
         self.duration_s = float(duration_s)
@@ -150,10 +153,13 @@ class ClosedLoop(Workload):
         return replace(request, rid=rid, arrival_s=arrival)
 
 
-def _check_generator(models: Sequence[str], rate_name: str, rate: float,
-                     duration_s: float) -> None:
-    """Reject inputs a generator's horizon loop could never finish."""
-    if not models:
+def _check_generator(rate_name: str, rate: float, duration_s: float,
+                     models: Optional[Sequence[str]] = None) -> None:
+    """Reject inputs a generator's horizon loop could never finish.
+
+    ``models``, when given, must name at least one model.
+    """
+    if models is not None and not models:
         raise ValueError("models must name at least one model")
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"{rate_name} must be finite and positive, "
@@ -222,12 +228,12 @@ class DiurnalTrace(TraceReplay):
                  period_s: Optional[float] = None,
                  burst_every_s: float = 0.0, burst_len_s: float = 0.0,
                  stream: object = 0):
-        _check_generator(models, "peak_rps", peak_rps, duration_s)
+        _check_generator("peak_rps", peak_rps, duration_s, models)
         if not 0.0 <= trough_fraction <= 1.0:
             raise ValueError(f"trough_fraction must be in [0, 1], "
                              f"got {trough_fraction}")
         self.models = tuple(models)
-        self.peak_rps = float(peak_rps)
+        self.peak_rps = self.rate_rps = float(peak_rps)
         self.trough_fraction = float(trough_fraction)
         self.period_s = float(period_s) if period_s else float(duration_s)
         self.burst_every_s = float(burst_every_s)

@@ -122,17 +122,47 @@ def test_serve_closed_loop_smoke(capsys):
     ["--monitor", "--monitor-interval", "0"],
     ["--max-batch", "0"],
     ["--model", "nosuch"],
+    ["--llm", "--rates", "nan"],
+    ["--llm", "--rates", "inf"],
+    ["--llm", "--duration", "inf"],
+    ["--llm", "--slots", "-1"],
 ])
 def test_serve_unreachable_horizon_exits_2(capsys, monkeypatch, flags):
-    from repro.serving import ServiceCosts
+    from repro.serving import LLMServiceCosts, ServiceCosts
 
     def resolve(*args, **kwargs):
         raise AssertionError("bad arguments must exit before compiling")
     monkeypatch.setattr(ServiceCosts, "resolve", resolve)
+    monkeypatch.setattr(LLMServiceCosts, "resolve", resolve)
     assert main(["serve", "--devices", "2"] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("repro serve: ")
     assert "Traceback" not in err
+
+
+def test_serve_llm_observers_leave_the_sweep_unchanged(tmp_path,
+                                                      monkeypatch):
+    from repro.serving import LLMServiceCosts, validate_monitor_report
+    costs = LLMServiceCosts(config="gpt2_rms", prefill_token_s=2e-5,
+                            decode_step_s=1e-3, kv_budget_tokens=1024)
+    monkeypatch.setattr(LLMServiceCosts, "resolve",
+                        lambda *args, **kwargs: costs)
+    monkeypatch.delenv("REPRO_MONITOR", raising=False)
+    argv = ["serve", "--llm", "--rates", "20", "--duration", "1", "--json"]
+    files = {name: tmp_path / f"{name}.json"
+             for name in ("observed", "plain", "monitor", "trace")}
+    assert main(argv + [str(files["observed"]), "--monitor",
+                        "--monitor-out", str(files["monitor"]),
+                        "--trace-out", str(files["trace"])]) == 0
+    assert main(argv + [str(files["plain"])]) == 0
+    monitor = json.loads(files["monitor"].read_text())
+    assert validate_monitor_report(monitor) == []
+    assert monitor["kind"] == "llm"
+    tracks = {e["args"]["name"] for e in
+              json.loads(files["trace"].read_text())["traceEvents"]
+              if e["ph"] == "M"}
+    assert {"llm engine (simulated)", "decode steps", "lifecycle"} <= tracks
+    assert files["observed"].read_text() == files["plain"].read_text()
 
 
 def test_serve_rejects_unknown_policy():

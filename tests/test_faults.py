@@ -32,9 +32,9 @@ from repro.faults import (
     chaos_report,
     chaos_report_json,
     default_plan,
-    run_chaos,
     validate_chaos_report,
 )
+from repro.runtime import parallel_map
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
@@ -43,7 +43,6 @@ from repro.serving import (
     ScaledFleetSimulator,
     ServiceCosts,
     TraceReplay,
-    simulate,
 )
 
 LATENCY_S = 0.010
@@ -404,11 +403,11 @@ def test_all_devices_ejected_sheds_arrivals():
 def test_quiet_plan_matches_no_plan():
     """A plan with all rates zero must not perturb the legacy fleet."""
     workload = TraceReplay([(0.0, "m"), (0.001, "m"), (0.002, "m")])
-    base = simulate(workload, toy_costs(),
-                    batch_policy=BatchPolicy("single"))
-    quiet = simulate(workload, toy_costs(),
-                     batch_policy=BatchPolicy("single"),
-                     fault_plan=FaultPlan())
+    base = ScaledFleetSimulator(
+        toy_costs(), batch_policy=BatchPolicy("single")).run(workload)
+    quiet = ScaledFleetSimulator(
+        toy_costs(), batch_policy=BatchPolicy("single"),
+        fault_plan=FaultPlan()).run(workload)
     assert base == quiet
 
 
@@ -416,35 +415,45 @@ def test_quiet_plan_matches_no_plan():
 # Chaos sweeps
 # ---------------------------------------------------------------------------
 
+SMALL_PLAN = FaultPlan(name="small",
+                       crash=CrashSpec(p_per_device_s=0.05),
+                       tile_fault=TileFaultSpec(p_per_batch=0.2),
+                       corrupt=CorruptSpec(p_per_download=0.5))
+
+
 def small_grid():
-    plan = FaultPlan(name="small",
-                     crash=CrashSpec(p_per_device_s=0.05),
-                     tile_fault=TileFaultSpec(p_per_batch=0.2),
-                     corrupt=CorruptSpec(p_per_download=0.5))
-    return chaos_grid(plan=plan, scales=(1.0,), model="m", devices=2,
+    return chaos_grid(plan=SMALL_PLAN, scales=(1.0,), model="m", devices=2,
                       rate_rps=300.0, duration_s=1.0,
                       costs=toy_costs(latency_s=0.004, compile_s=0.002))
+
+
+def small_report(grid, jobs=1):
+    # ``run_fleet`` in this module is the traced-scenario helper above.
+    from repro.serving import run_fleet as run_one
+    outcomes = parallel_map(run_one, [run for _, run in grid], jobs=jobs)
+    return chaos_report(SMALL_PLAN, grid,
+                        [report for report, _, _ in outcomes])
 
 
 def test_chaos_grid_prepends_fault_free_control():
     points = small_grid()
     # 2 policies x (0.0 control + 1.0): the control is always present
     # exactly once per policy even though scales=(1.0,) omitted it.
-    assert [(p.policy_kind, p.fault_scale) for p in points] == [
+    assert [(run.resilience.kind, scale) for scale, run in points] == [
         ("naive", 0.0), ("naive", 1.0),
         ("resilient", 0.0), ("resilient", 1.0)]
 
 
 def test_chaos_serial_and_parallel_reports_identical():
     points = small_grid()
-    serial = chaos_report(points, run_chaos(points, jobs=1))
-    forked = chaos_report(points, run_chaos(points, jobs=2))
+    serial = small_report(points, jobs=1)
+    forked = small_report(points, jobs=2)
     assert chaos_report_json(serial) == chaos_report_json(forked)
 
 
 def test_chaos_report_validates_and_summarizes():
     points = small_grid()
-    payload = chaos_report(points, run_chaos(points))
+    payload = small_report(points)
     assert validate_chaos_report(payload) == []
     # JSON round-trip must survive validation too (what CI checks).
     assert validate_chaos_report(
@@ -459,8 +468,7 @@ def test_chaos_report_validates_and_summarizes():
 
 
 def test_chaos_validator_rejects_malformed_reports():
-    points = small_grid()
-    payload = chaos_report(points, run_chaos(points))
+    payload = small_report(small_grid())
 
     assert validate_chaos_report([]) != []
     assert validate_chaos_report({}) != []

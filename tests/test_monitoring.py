@@ -9,10 +9,10 @@ import pytest
 from repro.runtime import parallel_map
 from repro.serving import (
     BatchPolicy,
+    FleetRun,
     LLMMonitor,
     LLMServiceCosts,
     MonitorConfig,
-    MonitorPoint,
     OpenLoopPoisson,
     ResiliencePolicy,
     ScaledFleetSimulator,
@@ -21,7 +21,7 @@ from repro.serving import (
     make_llm_batcher,
     monitor_table,
     monitoring_enabled,
-    run_monitor_point,
+    run_fleet,
     validate_monitor_report,
 )
 from repro.serving.metrics import ServingReport
@@ -271,16 +271,15 @@ def test_alert_engine_rejects_bad_config():
 # ---------------------------------------------------------------------------
 # The monitored fleet
 # ---------------------------------------------------------------------------
-def _small_point(**overrides):
-    base = dict(costs=ServiceCosts.resolve(["bert"]), models=("bert",),
-                devices=4, rate_rps=80.0, duration_s=5.0)
-    base.update(overrides)
-    return MonitorPoint(**base)
+def _small_run(devices=4, stream=0, fault_plan=None):
+    return FleetRun(ServiceCosts.resolve(["bert"]),
+                    OpenLoopPoisson(("bert",), 80.0, 5.0, stream=stream),
+                    devices=devices, routing="round_robin",
+                    fault_plan=fault_plan, monitor_config=MonitorConfig())
 
 
 def test_monitored_run_produces_valid_report():
-    out = run_monitor_point(_small_point())
-    payload = out["monitor"]
+    report, _, payload = run_fleet(_small_run())
     assert validate_monitor_report(payload) == []
     assert payload["kind"] == "fleet"
     assert payload["intervals"] >= 50
@@ -289,7 +288,7 @@ def test_monitored_run_produces_valid_report():
         assert len(payload["series"][name]["samples"]) == payload["intervals"]
     # A healthy fleet: every request settles, all of them good.
     slo = payload["slo"]
-    assert slo["total"] == out["serving"]["offered"]
+    assert slo["total"] == report.offered
     assert slo["bad"] == 0
     assert payload["alerts"] == []
     assert "monitor" in monitor_table(payload)
@@ -318,8 +317,7 @@ def test_deterministic_crash_feeds_streaming_slo_misses():
     # round-robin fleet, so half the traffic misses its deadline.
     plan = FaultPlan(name="pinned", crash=CrashSpec(at=((0, 1.0),),
                                                     outage_s=2.0))
-    out = run_monitor_point(_small_point(devices=2, fault_plan=plan))
-    payload = out["monitor"]
+    _, _, payload = run_fleet(_small_run(devices=2, fault_plan=plan))
     assert validate_monitor_report(payload) == []
     misses = payload["series"]["rate.slo_misses"]["samples"]
     first_miss_s = next(
@@ -336,9 +334,11 @@ def test_deterministic_crash_feeds_streaming_slo_misses():
 
 
 def test_serial_and_jobs_monitor_streams_byte_identical():
-    points = [_small_point(stream=stream) for stream in (0, 1, 2)]
-    serial = parallel_map(run_monitor_point, points, jobs=1)
-    forked = parallel_map(run_monitor_point, points, jobs=2)
+    runs = [_small_run(stream=stream) for stream in (0, 1, 2)]
+    serial = [(payload, monitor) for _, payload, monitor in
+              parallel_map(run_fleet, runs, jobs=1)]
+    forked = [(payload, monitor) for _, payload, monitor in
+              parallel_map(run_fleet, runs, jobs=2)]
     assert (json.dumps(serial, sort_keys=True)
             == json.dumps(forked, sort_keys=True))
 
@@ -350,7 +350,7 @@ def test_monitor_counter_events_are_a_valid_trace():
         monitor_counter_events,
         validate_trace,
     )
-    payload = run_monitor_point(_small_point())["monitor"]
+    payload = run_fleet(_small_run())[2]
     events = monitor_counter_events(payload)
     assert events and all(e["pid"] == MONITOR_PID for e in events)
     assert any(e["ph"] == "C" for e in events)
@@ -393,7 +393,7 @@ def test_llm_monitor_is_observational():
 # Report validation, dashboard, env plumbing
 # ---------------------------------------------------------------------------
 def test_validator_flags_corrupted_reports():
-    payload = run_monitor_point(_small_point())["monitor"]
+    payload = run_fleet(_small_run())[2]
     assert validate_monitor_report(payload) == []
 
     bad = json.loads(json.dumps(payload))
@@ -421,7 +421,7 @@ def test_validator_flags_corrupted_reports():
 
 
 def test_dashboard_renders_with_and_without_color():
-    payload = run_monitor_point(_small_point())["monitor"]
+    payload = run_fleet(_small_run())[2]
     plain = render_dashboard(payload, color=False)
     assert "\x1b[" not in plain
     assert "latency.p99" in plain and "no active alerts" in plain

@@ -10,26 +10,24 @@ from repro.faults.plan import CrashSpec
 from repro.runtime import parallel_map
 from repro.serving import (
     DEFAULT_SLO_MULTIPLIER,
-    AdmissionPolicy,
     AutoscaleConfig,
     AutoscaleController,
     BatchPolicy,
     ClosedLoop,
     CostModel,
     DiurnalTrace,
+    FleetRun,
     FleetSimulator,
     MonitorConfig,
     OpenLoopPoisson,
     ResiliencePolicy,
     ScaledFleetSimulator,
-    ScalePoint,
     ServiceCosts,
-    SweepPoint,
     TraceReplay,
     autoscaling_enabled,
+    default_grid,
     load_trace,
-    run_point,
-    run_scale_point,
+    run_fleet,
     save_trace,
     scale_table,
     tail_bounded_throughput,
@@ -100,12 +98,11 @@ def test_scaled_core_bit_identical_unverified_reject():
 
 
 def test_sweep_point_matches_legacy_fleet():
-    point = SweepPoint(costs=toy_costs(), model="m", policy_kind="dynamic",
-                       devices=4, rate_rps=400.0, duration_s=1.0)
-    legacy = FleetSimulator(point.costs, devices=4,
-                            admission=AdmissionPolicy(point.max_queue))
+    run, = default_grid(model="m", policies=("dynamic",), fleets=(4,),
+                        rates=(400.0,), duration_s=1.0, costs=toy_costs())
+    legacy = FleetSimulator(run.costs, devices=4, admission=run.admission)
     report = legacy.run(OpenLoopPoisson(("m",), 400.0, 1.0), rate_rps=400.0)
-    assert report.to_json() == run_point(point).to_json()
+    assert report.to_json() == run_fleet(run)[0].to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +590,15 @@ def test_tail_bounded_throughput_falls_back_to_goodput():
 # Serial vs --jobs byte identity
 # ---------------------------------------------------------------------------
 def test_scale_points_serial_vs_jobs_byte_identical():
-    points = [
-        ScalePoint(costs=COSTS, models=MODELS, devices=8, cells=4,
-                   peak_rps=1500.0, duration_s=1.0, autoscale=bool(i % 2),
-                   stream=i)
+    runs = [
+        FleetRun(COSTS, DiurnalTrace(MODELS, 1500.0, 1.0, stream=i),
+                 devices=8, cells=4, routing="round_robin",
+                 autoscale=AutoscaleConfig() if i % 2 else None)
         for i in range(4)
     ]
-    serial = parallel_map(run_scale_point, points, jobs=1)
-    forked = parallel_map(run_scale_point, points, jobs=2)
+    serial = [payload for _, payload, _ in
+              parallel_map(run_fleet, runs, jobs=1)]
+    forked = [payload for _, payload, _ in
+              parallel_map(run_fleet, runs, jobs=2)]
     assert json.dumps(serial, sort_keys=True) == \
         json.dumps(forked, sort_keys=True)
