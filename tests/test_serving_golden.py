@@ -53,12 +53,18 @@ from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
     ClosedLoop,
+    LLMMonitor,
+    LLMRequest,
+    LLMServiceCosts,
     ModelCost,
     MonitorConfig,
     OpenLoopPoisson,
     ResiliencePolicy,
     ScaledFleetSimulator,
     ServiceCosts,
+    TraceReplay,
+    llm_poisson_requests,
+    make_llm_batcher,
 )
 from repro.telemetry import scoped_telemetry
 
@@ -108,6 +114,14 @@ def _closed_loop():
     return ClosedLoop(("a", "b"), clients=8, duration_s=1.0, think_s=0.003)
 
 
+def _on_boundaries():
+    """Arrivals stamped exactly on 0.05 s interval boundaries (k * 0.05),
+    two per boundary, plus a Poisson stream between them."""
+    entries = [(k * 0.05, model) for k in range(1, 30) for model in "ab"]
+    poisson = OpenLoopPoisson(("a", "b"), 120.0, 1.5)
+    return TraceReplay(entries + list(zip(*poisson.arrivals())))
+
+
 def cases():
     """``{case id: (simulator kwargs, workload factory)}``, stable order."""
     out = {}
@@ -139,6 +153,25 @@ def cases():
              fault_plan=PLANS["burst"],
              resilience=ResiliencePolicy(eject_threshold=1)),
         _open_loop)
+    # Non-default monitor configs; the first also lands arrivals exactly
+    # on interval boundaries (on every boundary at 0.05 s, every other
+    # one at the default 0.1 s).
+    out["boundary-w1-nodrain-crash-resilient"] = (
+        dict(costs=COSTS, devices=3, routing="round_robin",
+             fault_plan=PLANS["crash"], resilience=ResiliencePolicy(),
+             monitor_config=MonitorConfig(interval_s=0.05,
+                                          window_intervals=1,
+                                          drain=False)),
+        _on_boundaries)
+    out["boundary-mixed-naive"] = (
+        dict(costs=COSTS, devices=3, routing="least_loaded",
+             fault_plan=PLANS["mixed"], resilience=ResiliencePolicy.naive()),
+        _on_boundaries)
+    out["window3-crash-resilient"] = (
+        dict(costs=COSTS, devices=3, routing="least_loaded",
+             fault_plan=PLANS["crash"], resilience=ResiliencePolicy(),
+             monitor_config=MonitorConfig(window_intervals=3)),
+        _open_loop)
     return out
 
 
@@ -151,8 +184,9 @@ def run_case(simulator, kwargs, workload):
     """One case, monitored + traced + counted, and once plain."""
     kwargs = dict(kwargs)
     costs = kwargs.pop("costs")
-    sim = simulator(costs, collect_trace=True,
-                    monitor_config=MonitorConfig(), **kwargs)
+    config = kwargs.pop("monitor_config", MonitorConfig())
+    sim = simulator(costs, collect_trace=True, monitor_config=config,
+                    **kwargs)
     with scoped_telemetry() as tel:
         report = sim.run(workload(), rate_rps=300.0)
     plain = simulator(costs, **kwargs).run(workload(), rate_rps=300.0)
@@ -165,6 +199,83 @@ def run_case(simulator, kwargs, workload):
         "trace_kinds": dict(sorted(Counter(
             e["kind"] for e in sim.trace_log).items())),
         "counters": tel.counters.as_dict(),
+    }
+
+
+LLM_COSTS = LLMServiceCosts(config="g-llm", prefill_token_s=2e-5,
+                            decode_step_s=1e-3, kv_budget_tokens=256,
+                            slo_multiplier=8.0)
+LLM_RATE, LLM_DURATION = 60.0, 1.5
+
+
+def _llm_requests():
+    """Poisson arrivals whose largest KV footprints exceed the budget
+    (rejected outright), at a load that completes some requests past
+    their SLO deadline, plus requests stamped exactly on 0.05 s
+    interval boundaries."""
+    requests = llm_poisson_requests(LLM_RATE, LLM_DURATION,
+                                    prompt_range=(8, 240),
+                                    output_range=(4, 64))
+    n = len(requests)
+    return requests + [LLMRequest(n + k, k * 0.05, 16, 8)
+                       for k in range(1, 30, 3)]
+
+
+def llm_cases():
+    """``{case id: (scheduler, monitor config)}``, stable order."""
+    return {
+        "llm-continuous": ("continuous", MonitorConfig()),
+        "llm-oneshot": ("oneshot", MonitorConfig()),
+        "llm-continuous-w3-nodrain": (
+            "continuous", MonitorConfig(interval_s=0.05, window_intervals=3,
+                                        drain=False)),
+        "llm-oneshot-w1": (
+            "oneshot", MonitorConfig(interval_s=0.05, window_intervals=1)),
+    }
+
+
+def run_llm_case(kind, config):
+    """One LLM batcher run, monitored + traced, and once plain."""
+    monitor = LLMMonitor(config)
+    batcher = make_llm_batcher(kind, LLM_COSTS, max_slots=8,
+                               collect_trace=True, monitor=monitor)
+    report = batcher.run(_llm_requests(), rate_rps=LLM_RATE,
+                         duration_s=LLM_DURATION)
+    payload = monitor.payload(context={
+        "config": LLM_COSTS.config, "scheduler": kind,
+        "rate_rps": LLM_RATE, "duration_s": LLM_DURATION})
+    plain = make_llm_batcher(kind, LLM_COSTS, max_slots=8).run(
+        _llm_requests(), rate_rps=LLM_RATE, duration_s=LLM_DURATION)
+    return {
+        "report": report.as_dict(),
+        "plain_report_equal": plain.to_json() == report.to_json(),
+        "monitor_sha256": digest(payload),
+        "intervals": payload["intervals"],
+        "slo": payload["slo"],
+        "alerts": len(payload["alerts"]),
+        "trace_sha256": digest(batcher.trace_log),
+    }
+
+
+def run_llm_cli_case(workdir: Path):
+    """``repro serve --llm --monitor`` on hand-set costs."""
+    monitor_path = workdir / "llm-monitor.json"
+    argv = ["serve", "--llm", "--rates", "40,160", "--duration", "1",
+            "--schedulers", "continuous,oneshot", "--monitor",
+            "--monitor-out", str(monitor_path)]
+    costs = LLMServiceCosts(config="gpt2_rms", prefill_token_s=2e-5,
+                            decode_step_s=1e-3, kv_budget_tokens=1024)
+    out = io.StringIO()
+    resolve = classmethod(lambda cls, *args, **kw: costs)
+    with mock.patch.object(LLMServiceCosts, "resolve", resolve), \
+            contextlib.redirect_stdout(out):
+        code = main(argv)
+    stdout = "".join(line for line in out.getvalue().splitlines(True)
+                     if not line.startswith("wrote "))
+    return {
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
+        "monitor_sha256": digest(json.loads(monitor_path.read_text())),
     }
 
 
@@ -214,10 +325,15 @@ def record(simulator):
     """The whole fixture, produced by ``simulator``'s class."""
     with tempfile.TemporaryDirectory() as tmp:
         cli = run_cli_case(Path(tmp))
+        llm_cli = run_llm_cli_case(Path(tmp))
     return {"seed": int(SEED),
             "cases": {case_id: run_case(simulator, kwargs, workload)
                       for case_id, (kwargs, workload) in cases().items()},
-            "cli": cli}
+            "cli": cli,
+            "llm_cases": {case_id: run_llm_case(kind, config)
+                          for case_id, (kind, config)
+                          in llm_cases().items()},
+            "llm_cli": llm_cli}
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +351,7 @@ def _pinned_env(monkeypatch):
 def test_fixture_covers_every_case():
     assert GOLDEN["seed"] == int(SEED)
     assert sorted(GOLDEN["cases"]) == sorted(cases())
+    assert sorted(GOLDEN["llm_cases"]) == sorted(llm_cases())
 
 
 @pytest.mark.parametrize("case_id", list(cases()))
@@ -262,6 +379,33 @@ def test_cli_faults_monitor_trace_run_reproduces_golden(tmp_path):
     assert got["monitor_sha256"] == want["monitor_sha256"]
     assert got["trace_sha256"] == want["trace_sha256"]
     assert got["stdout_sha256"] == want["stdout_sha256"]
+
+
+@pytest.mark.parametrize("case_id", list(llm_cases()))
+def test_llm_batchers_reproduce_golden_case(case_id):
+    got = run_llm_case(*llm_cases()[case_id])
+    want = GOLDEN["llm_cases"][case_id]
+    assert got["report"] == want["report"]
+    assert got["plain_report_equal"] and want["plain_report_equal"]
+    assert got["trace_sha256"] == want["trace_sha256"]
+    assert (got["intervals"], got["slo"], got["alerts"]) == \
+        (want["intervals"], want["slo"], want["alerts"])
+    assert got["monitor_sha256"] == want["monitor_sha256"]
+
+
+def test_llm_cli_monitor_run_reproduces_golden(tmp_path):
+    got = run_llm_cli_case(tmp_path)
+    want = GOLDEN["llm_cli"]
+    assert got["exit"] == want["exit"] == 0
+    assert got["monitor_sha256"] == want["monitor_sha256"]
+    assert got["stdout_sha256"] == want["stdout_sha256"]
+
+
+def test_llm_golden_cases_reject_and_complete_late():
+    for case in GOLDEN["llm_cases"].values():
+        assert case["report"]["rejected"] > 0
+        assert case["report"]["slo_attainment"] < 1.0
+        assert case["slo"]["bad"] > case["report"]["rejected"]
 
 
 def test_golden_matrix_exercises_every_fault_path():
