@@ -18,7 +18,12 @@ fleet simulator:
   between serial and ``--jobs 2`` execution.
 * **overhead** — a warm monitored ``repro serve`` subprocess stays
   within 5 % (plus a small absolute slack for process noise) of the
-  unmonitored command, because monitoring is observational.
+  unmonitored command, because monitoring is observational.  Next to
+  that gate, a paired, interleaved, in-process median-of-N ratio of
+  monitored to unmonitored run time — for the crash run's fleet core
+  and for ``ContinuousBatcher.run`` at the busiest ``gpt2_rms`` point
+  of the default ladder — shows the monitor's own cost, which the
+  subprocess's imports and cache load hide.
 
 The measured numbers land in ``BENCH_monitoring.json`` at the repo
 root so the detection-latency trajectory is visible across PRs.
@@ -26,9 +31,11 @@ root so the detection-latency trajectory is visible across PRs.
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +45,8 @@ BENCH_ARTIFACT = REPO_ROOT / "BENCH_monitoring.json"
 #: sampled crash schedule (and hence the alert stream) is reproducible.
 SEED = "12345"
 OVERHEAD_BAR = 0.05
+#: Pairs per in-process ratio; which side runs first alternates.
+RATIO_PAIRS = 7
 
 
 def _points():
@@ -81,6 +90,61 @@ def _serve_seconds(monitored, runs=2):
                        cwd=REPO_ROOT, check=True)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _busiest_llm_point():
+    """The busiest continuous point of the default ``gpt2_rms`` ladder
+    (the point ``repro serve --llm --monitor`` re-runs monitored)."""
+    from repro.llm import llm_grid
+    from repro.serving import LLMServiceCosts
+    points = llm_grid(costs=LLMServiceCosts.resolve("gpt2_rms"),
+                      schedulers=("continuous",))
+    return max(points, key=lambda p: p.rate_rps)
+
+
+def _paired_ratio(plain, monitored, pairs=RATIO_PAIRS):
+    """Median monitored/plain wall ratio over interleaved pairs."""
+    ratios = []
+    for index in range(pairs):
+        seconds = {}
+        for side in ((plain, monitored) if index % 2 == 0
+                     else (monitored, plain)):
+            start = time.perf_counter()
+            side()
+            seconds[side] = time.perf_counter() - start
+        ratios.append(seconds[monitored] / seconds[plain])
+    return statistics.median(ratios), ratios
+
+
+def _in_process_ratios(crash_point):
+    from repro.serving import (
+        MonitorConfig,
+        llm_poisson_requests,
+        make_llm_batcher,
+        run_fleet,
+    )
+    plain_point = replace(crash_point, monitor_config=None)
+    point = _busiest_llm_point()
+    requests = llm_poisson_requests(point.rate_rps, point.duration_s,
+                                    point.prompt_range, point.output_range,
+                                    point.stream)
+
+    def llm(config):
+        return lambda: make_llm_batcher(
+            "continuous", point.costs, max_slots=point.max_slots,
+            monitor_config=config).run(requests, rate_rps=point.rate_rps,
+                                       duration_s=point.duration_s)
+    fleet = _paired_ratio(lambda: run_fleet(plain_point),
+                          lambda: run_fleet(crash_point))
+    continuous = _paired_ratio(llm(None), llm(MonitorConfig()))
+    return {
+        "pairs": RATIO_PAIRS,
+        "fleet_serve": {"median": round(fleet[0], 3),
+                        "ratios": [round(r, 3) for r in fleet[1]]},
+        "llm_continuous": {"rate_rps": point.rate_rps,
+                           "median": round(continuous[0], 3),
+                           "ratios": [round(r, 3) for r in continuous[1]]},
+    }
 
 
 def test_crash_detection_quiet_controls_and_overhead(benchmark,
@@ -156,6 +220,7 @@ def test_crash_detection_quiet_controls_and_overhead(benchmark,
     assert monitored_s <= (1.0 + OVERHEAD_BAR) * plain_s + 0.3, (
         f"monitoring added {monitored_s - plain_s:.2f}s to a "
         f"{plain_s:.2f}s serve run")
+    in_process = _in_process_ratios(crash_point)
 
     BENCH_ARTIFACT.write_text(json.dumps({
         "model": "bert",
@@ -178,23 +243,23 @@ def test_crash_detection_quiet_controls_and_overhead(benchmark,
             "monitored": round(monitored_s, 3),
         },
         "monitored_overhead": round(overhead, 3),
+        "in_process_monitored_ratio": in_process,
     }, indent=2) + "\n")
 
 
 def _llm_monitor_payload():
     from repro.serving import (
-        LLMMonitor,
         LLMServiceCosts,
         MonitorConfig,
         llm_poisson_requests,
         make_llm_batcher,
     )
     costs = LLMServiceCosts.resolve("gpt2_rms")
-    monitor = LLMMonitor(MonitorConfig())
     requests = llm_poisson_requests(4.0, 8.0, (8, 32), (8, 32), 0)
-    make_llm_batcher("continuous", costs, monitor=monitor).run(
-        requests, rate_rps=4.0, duration_s=8.0)
-    return monitor.payload(context={"config": "gpt2_rms"})
+    batcher = make_llm_batcher("continuous", costs,
+                               monitor_config=MonitorConfig())
+    batcher.run(requests, rate_rps=4.0, duration_s=8.0)
+    return batcher.monitor_payload
 
 
 def test_monitoring_slo_experiment_shapes(benchmark):

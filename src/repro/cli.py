@@ -358,7 +358,6 @@ def _cmd_serve_llm(args) -> int:
     )
     from .serving import (
         LLM_SCHEDULERS,
-        LLMMonitor,
         LLMServiceCosts,
         MonitorConfig,
         default_max_slots,
@@ -394,8 +393,8 @@ def _cmd_serve_llm(args) -> int:
     try:
         for rate in rates or (1.0,):
             _check_generator("rate_rps", rate, args.duration)
-        monitor = (LLMMonitor(MonitorConfig.from_env(
-            interval_s=args.monitor_interval))
+        monitor_config = (MonitorConfig.from_env(
+            interval_s=args.monitor_interval)
             if monitoring_enabled(args.monitor) else None)
     except ValueError as err:
         return refuse(err)
@@ -424,7 +423,7 @@ def _cmd_serve_llm(args) -> int:
                    if payload["summary"]["continuous_beats_oneshot"]
                    else "continuous batching does NOT beat one-shot")
         print(verdict)
-    if monitor is not None or args.trace_out:
+    if monitor_config is not None or args.trace_out:
         # Re-run the busiest continuous point once with the observers
         # attached (both are observational, so the sweep numbers above
         # are untouched).
@@ -433,20 +432,15 @@ def _cmd_serve_llm(args) -> int:
         batcher = make_llm_batcher(busiest.scheduler, busiest.costs,
                                    max_slots=busiest.max_slots,
                                    collect_trace=bool(args.trace_out),
-                                   monitor=monitor)
+                                   monitor_config=monitor_config)
         batcher.run(llm_poisson_requests(
             busiest.rate_rps, busiest.duration_s, busiest.prompt_range,
             busiest.output_range, busiest.stream),
             rate_rps=busiest.rate_rps, duration_s=busiest.duration_s)
-    if monitor is not None:
+    if monitor_config is not None:
         from .serving import validate_monitor_report
         from .telemetry.dashboard import render_dashboard
-        monitor_payload = monitor.payload(context={
-            "config": args.llm_config,
-            "scheduler": busiest.scheduler,
-            "rate_rps": busiest.rate_rps,
-            "duration_s": busiest.duration_s,
-        })
+        monitor_payload = batcher.monitor_payload
         problems = validate_monitor_report(monitor_payload)
         if problems:  # pragma: no cover - internal invariant
             print("repro serve: invalid monitor report:\n  "

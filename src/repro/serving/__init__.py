@@ -49,9 +49,9 @@ from .metrics import (
 )
 from .monitor import (
     MONITOR_SCHEMA,
-    FleetMonitor,
-    LLMMonitor,
     MonitorConfig,
+    fleet_monitor_payload,
+    llm_monitor_payload,
     monitor_table,
     monitoring_enabled,
     validate_monitor_report,
@@ -119,8 +119,6 @@ __all__ = [
     "DiurnalTrace",
     "FleetRun",
     "FleetSimulator",
-    "FleetMonitor",
-    "LLMMonitor",
     "LLMRequest",
     "LLMServiceCosts",
     "LLMServingReport",
@@ -143,6 +141,8 @@ __all__ = [
     "autoscaling_enabled",
     "default_kv_budget",
     "default_max_slots",
+    "fleet_monitor_payload",
+    "llm_monitor_payload",
     "llm_poisson_requests",
     "make_llm_batcher",
     "monitor_table",

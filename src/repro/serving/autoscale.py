@@ -32,6 +32,7 @@ decision records that are serialised into the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -96,8 +97,8 @@ class AutoscaleConfig:
     rules: Tuple[BurnRateRule, ...] = field(default_factory=default_rules)
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0.0:
-            raise ValueError(f"interval_s must be positive, "
+        if not (math.isfinite(self.interval_s) and self.interval_s > 0.0):
+            raise ValueError(f"interval_s must be finite and positive, "
                              f"got {self.interval_s}")
         if self.min_cells < 1:
             raise ValueError("min_cells must be >= 1")

@@ -20,6 +20,15 @@ Both simulations are pure functions of ``(REPRO_SEED, inputs)`` — the
 workload generator draws from :func:`repro.runtime.seeded_rng` — so
 serial and ``--jobs N`` sweeps stay byte-identical.
 
+Each run records its outcome as columns — the batch size of every
+engine step, the rejects, and the completion records with the step
+that delivered each first token — and, with a ``monitor_config``, one
+packed :data:`~repro.serving.monitor.LLM_STEP_COLUMNS` row per step.
+The report is computed from them after the run, and so is the
+``repro-monitor-report-v1`` payload
+(:func:`~repro.serving.monitor.llm_monitor_payload`): nothing observes
+the loop while it runs.
+
 Service times follow the scheduler module's amortized-cost discipline
 (:data:`~repro.serving.scheduler.DEFAULT_AMORTIZED_FRACTION`): a step
 over ``B`` slots costs ``unit * (f + (1 - f) * B)``, so ``B = 1``
@@ -34,7 +43,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime import seeded_rng
 from .metrics import LLMServingReport, percentile
-from .monitor import env_int
+from .monitor import (
+    LLM_STEP_ROW,
+    MonitorConfig,
+    env_int,
+    llm_monitor_payload,
+)
 from .scheduler import DEFAULT_AMORTIZED_FRACTION
 from .workload import _check_generator
 
@@ -142,26 +156,58 @@ class LLMServiceCosts:
 
 @dataclass
 class _Completion:
+    """One finished request; its first token came with step
+    ``first_step`` of the collector."""
     request: LLMRequest
     finish_s: float
     ttft_s: float
     itls_s: List[float]
+    first_step: int
 
 
 @dataclass
 class _Collector:
-    """Shared outcome accumulator for both schedulers."""
+    """Shared outcome columns for both schedulers.
+
+    ``rejects`` holds the ``(t_s, request)`` of every refused request;
+    ``steps`` — monitored runs only — packs one
+    :data:`~repro.serving.monitor.LLM_STEP_ROW` per engine step (a
+    continuous decode step, a one-shot batch).
+    """
     completions: List[_Completion] = field(default_factory=list)
-    rejected: int = 0
+    rejects: List[Tuple[float, LLMRequest]] = field(default_factory=list)
     batch_sizes: List[int] = field(default_factory=list)
     kv_peak_tokens: int = 0
+    steps: Optional[bytearray] = None
     trace: List[Dict[str, Any]] = field(default_factory=list)
+
+    def reject(self, request: LLMRequest, t_s: float,
+               collect_trace: bool) -> None:
+        self.rejects.append((t_s, request))
+        if collect_trace:
+            self.trace.append({"kind": "reject", "rid": request.rid,
+                               "t_s": t_s})
+
+    def monitor_payload(self, config: Optional[MonitorConfig],
+                        costs: LLMServiceCosts, requests, scheduler: str,
+                        horizon_s: float, rate_rps: float,
+                        duration_s: float) -> Optional[Dict[str, Any]]:
+        """The run's ``repro-monitor-report-v1`` payload (None: off)."""
+        if config is None:
+            return None
+        return llm_monitor_payload(
+            config, requests=requests, slo_s=costs.slo_s, steps=self.steps,
+            rejects=self.rejects, completions=self.completions,
+            horizon_s=horizon_s, context={
+                "config": costs.config, "scheduler": scheduler,
+                "rate_rps": rate_rps, "duration_s": duration_s})
 
     def report(self, costs: LLMServiceCosts, scheduler: str,
                max_slots: int, rate_rps: float,
                duration_s: float) -> LLMServingReport:
         done = self.completions
-        offered = len(done) + self.rejected
+        rejected = len(self.rejects)
+        offered = len(done) + rejected
         makespan = max((c.finish_s for c in done), default=duration_s)
         makespan = max(makespan, duration_s)
         good = sum(1 for c in done
@@ -182,7 +228,7 @@ class _Collector:
             slo_multiplier=costs.slo_multiplier,
             offered=offered,
             completed=len(done),
-            rejected=self.rejected,
+            rejected=rejected,
             makespan_s=makespan,
             throughput_rps=len(done) / makespan if makespan else 0.0,
             goodput_rps=good / makespan if makespan else 0.0,
@@ -210,6 +256,7 @@ class _Collector:
 class _Slot:
     request: LLMRequest
     emitted: int = 0
+    first_step: int = 0
     ttft_s: Optional[float] = None
     last_token_s: float = 0.0
     itls_s: List[float] = field(default_factory=list)
@@ -227,43 +274,44 @@ class ContinuousBatcher:
     budget is spent leave at the step boundary and release their KV
     reservation. A request whose footprint alone exceeds the whole
     budget can never run and is rejected outright.
+
+    With a ``monitor_config``, :attr:`monitor_payload` holds the run's
+    ``repro-monitor-report-v1`` payload, read out of the collector's
+    columns after the run (the report is identical either way).
     """
 
     def __init__(self, costs: LLMServiceCosts,
                  max_slots: Optional[int] = None,
                  collect_trace: bool = False,
-                 monitor=None):
+                 monitor_config: Optional[MonitorConfig] = None):
         self.costs = costs
         self.max_slots = (default_max_slots() if max_slots is None
                           else max_slots)
         if self.max_slots < 1:
             raise ValueError("max_slots must be >= 1")
         self.collect_trace = collect_trace
-        #: Optional :class:`~repro.serving.monitor.LLMMonitor`. Purely
-        #: observational — the hooks never change admission or stepping,
-        #: so the LLMServingReport is identical with or without it.
-        self.monitor = monitor
+        self.monitor_config = monitor_config
+        self.monitor_payload: Optional[Dict[str, Any]] = None
 
     def run(self, requests: Sequence[LLMRequest],
             rate_rps: float = 0.0,
             duration_s: float = 0.0) -> LLMServingReport:
         costs = self.costs
         pending = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
-        collector = _Collector()
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.start(pending, costs.slo_s)
+        collector = _Collector(steps=bytearray()
+                               if self.monitor_config is not None else None)
+        rows = collector.steps
         active: List[_Slot] = []
         kv_reserved = 0
         clock = 0.0
+        last_end = 0.0
         head = 0
         while head < len(pending) or active:
+            carried = len(active)   # slots past their first token
             if not active:
                 if head >= len(pending):
                     break
                 clock = max(clock, pending[head].arrival_s)
-                if monitor is not None:
-                    monitor.advance(clock)
             # Join at the step boundary, FIFO, budget permitting.
             while (head < len(pending)
                    and pending[head].arrival_s <= clock
@@ -271,13 +319,7 @@ class ContinuousBatcher:
                 request = pending[head]
                 if request.kv_footprint > costs.kv_budget_tokens:
                     head += 1
-                    collector.rejected += 1
-                    if monitor is not None:
-                        monitor.note_reject(request.rid)
-                    if self.collect_trace:
-                        collector.trace.append(
-                            {"kind": "reject", "rid": request.rid,
-                             "t_s": clock})
+                    collector.reject(request, clock, self.collect_trace)
                     continue
                 if kv_reserved + request.kv_footprint \
                         > costs.kv_budget_tokens:
@@ -292,8 +334,6 @@ class ContinuousBatcher:
                          "slot": len(active),
                          "tokens": request.prompt_tokens})
                 clock += prefill
-                if monitor is not None:
-                    monitor.advance(clock)
                 active.append(_Slot(request, last_token_s=clock))
             if not active:
                 # Every arrival so far was rejected; take the next one.
@@ -308,33 +348,28 @@ class ContinuousBatcher:
                     {"kind": "step", "start_s": clock,
                      "finish_s": clock + step, "batch": batch,
                      "rids": [s.request.rid for s in active]})
-            if monitor is not None:
-                monitor.note_state(batch, kv_reserved, len(pending) - head)
+            if rows is not None:
+                # Every carried slot waited the same gap since last_end.
+                rows += LLM_STEP_ROW.pack(
+                    clock, clock + step, batch, kv_reserved,
+                    len(pending) - head, batch, clock + step - last_end,
+                    carried)
+                last_end = clock + step
             clock += step
-            if monitor is not None:
-                monitor.advance(clock)
-                monitor.note_tokens(batch)
             still_active: List[_Slot] = []
             for slot in active:
                 slot.emitted += 1
                 if slot.ttft_s is None:
                     slot.ttft_s = clock - slot.request.arrival_s
-                    if monitor is not None:
-                        monitor.note_ttft(slot.ttft_s)
+                    slot.first_step = len(collector.batch_sizes) - 1
                 else:
-                    itl = clock - slot.last_token_s
-                    slot.itls_s.append(itl)
-                    if monitor is not None:
-                        monitor.note_itl(itl)
+                    slot.itls_s.append(clock - slot.last_token_s)
                 slot.last_token_s = clock
                 if slot.emitted >= slot.request.output_tokens:
                     kv_reserved -= slot.request.kv_footprint
                     collector.completions.append(_Completion(
-                        slot.request, clock, slot.ttft_s, slot.itls_s))
-                    if monitor is not None:
-                        monitor.note_complete(
-                            slot.request.rid, clock,
-                            (clock - slot.request.arrival_s) * 1e3)
+                        slot.request, clock, slot.ttft_s, slot.itls_s,
+                        slot.first_step))
                     if self.collect_trace:
                         collector.trace.append(
                             {"kind": "complete", "rid": slot.request.rid,
@@ -342,10 +377,10 @@ class ContinuousBatcher:
                 else:
                     still_active.append(slot)
             active = still_active
-        if monitor is not None:
-            monitor.note_state(0, kv_reserved, 0)
-            monitor.finish(max(clock, duration_s))
         self.trace_log = collector.trace
+        self.monitor_payload = collector.monitor_payload(
+            self.monitor_config, costs, pending, "continuous",
+            max(clock, duration_s), rate_rps, duration_s)
         return collector.report(costs, "continuous", self.max_slots,
                                 rate_rps, duration_s)
 
@@ -365,7 +400,7 @@ class OneShotBatcher:
                  max_slots: Optional[int] = None,
                  max_wait_s: float = 2e-3,
                  collect_trace: bool = False,
-                 monitor=None):
+                 monitor_config: Optional[MonitorConfig] = None):
         self.costs = costs
         self.max_slots = (default_max_slots() if max_slots is None
                           else max_slots)
@@ -373,31 +408,25 @@ class OneShotBatcher:
             raise ValueError("max_slots must be >= 1")
         self.max_wait_s = max_wait_s
         self.collect_trace = collect_trace
-        self.monitor = monitor
+        self.monitor_config = monitor_config
+        self.monitor_payload: Optional[Dict[str, Any]] = None
 
     def run(self, requests: Sequence[LLMRequest],
             rate_rps: float = 0.0,
             duration_s: float = 0.0) -> LLMServingReport:
         costs = self.costs
         pending = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
-        collector = _Collector()
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.start(pending, costs.slo_s)
+        collector = _Collector(steps=bytearray()
+                               if self.monitor_config is not None else None)
+        rows = collector.steps
         clock = 0.0
         head = 0
         while head < len(pending):
             request = pending[head]
             if request.kv_footprint > costs.kv_budget_tokens:
                 head += 1
-                collector.rejected += 1
-                if monitor is not None:
-                    monitor.advance(max(clock, request.arrival_s))
-                    monitor.note_reject(request.rid)
-                if self.collect_trace:
-                    collector.trace.append(
-                        {"kind": "reject", "rid": request.rid,
-                         "t_s": max(clock, request.arrival_s)})
+                collector.reject(request, max(clock, request.arrival_s),
+                                 self.collect_trace)
                 continue
             start = max(clock, request.arrival_s + self.max_wait_s)
             # Greedy padded batch: members must all fit the KV budget
@@ -412,14 +441,7 @@ class OneShotBatcher:
                     break
                 if cand.kv_footprint > costs.kv_budget_tokens:
                     scan += 1
-                    collector.rejected += 1
-                    if monitor is not None:
-                        monitor.advance(start)
-                        monitor.note_reject(cand.rid)
-                    if self.collect_trace:
-                        collector.trace.append(
-                            {"kind": "reject", "rid": cand.rid,
-                             "t_s": start})
+                    collector.reject(cand, start, self.collect_trace)
                     continue
                 padded_prompt = max(max_prompt, cand.prompt_tokens)
                 padded_output = max(max_output, cand.output_tokens)
@@ -439,11 +461,13 @@ class OneShotBatcher:
             prefill = costs.prefill_s(max_prompt, batch)
             step = costs.batched_s(costs.decode_step_s, batch)
             finish = start + prefill + max_output * step
-            if monitor is not None:
-                monitor.advance(start)
-                monitor.note_state(batch,
-                                   batch * (max_prompt + max_output),
-                                   len(pending) - head)
+            index = len(collector.batch_sizes) - 1
+            if rows is not None:
+                rows += LLM_STEP_ROW.pack(
+                    start, finish, batch, batch * (max_prompt + max_output),
+                    len(pending) - head,
+                    sum(m.output_tokens for m in members), step,
+                    sum(max(m.output_tokens - 1, 0) for m in members))
             if self.collect_trace:
                 collector.trace.append(
                     {"kind": "prefill", "rid": members[0].rid,
@@ -453,29 +477,20 @@ class OneShotBatcher:
                     {"kind": "step", "start_s": start + prefill,
                      "finish_s": finish, "batch": batch,
                      "rids": [m.rid for m in members]})
-            if monitor is not None:
-                monitor.advance(finish)
-                monitor.note_tokens(sum(m.output_tokens for m in members))
             for member in members:
                 first = start + prefill + step
                 itls = [step] * (member.output_tokens - 1)
                 collector.completions.append(_Completion(
-                    member, finish, first - member.arrival_s, itls))
-                if monitor is not None:
-                    monitor.note_ttft(first - member.arrival_s)
-                    for itl in itls:
-                        monitor.note_itl(itl)
-                    monitor.note_complete(member.rid, finish,
-                                          (finish - member.arrival_s) * 1e3)
+                    member, finish, first - member.arrival_s, itls, index))
                 if self.collect_trace:
                     collector.trace.append(
                         {"kind": "complete", "rid": member.rid,
                          "t_s": finish})
             clock = finish
-        if monitor is not None:
-            monitor.note_state(0, 0, 0)
-            monitor.finish(max(clock, duration_s))
         self.trace_log = collector.trace
+        self.monitor_payload = collector.monitor_payload(
+            self.monitor_config, costs, pending, "oneshot",
+            max(clock, duration_s), rate_rps, duration_s)
         return collector.report(costs, "oneshot", self.max_slots,
                                 rate_rps, duration_s)
 
@@ -487,14 +502,14 @@ LLM_SCHEDULERS = ("oneshot", "continuous")
 def make_llm_batcher(kind: str, costs: LLMServiceCosts,
                      max_slots: Optional[int] = None,
                      collect_trace: bool = False,
-                     monitor=None):
+                     monitor_config: Optional[MonitorConfig] = None):
     if kind == "continuous":
         return ContinuousBatcher(costs, max_slots=max_slots,
                                  collect_trace=collect_trace,
-                                 monitor=monitor)
+                                 monitor_config=monitor_config)
     if kind == "oneshot":
         return OneShotBatcher(costs, max_slots=max_slots,
                               collect_trace=collect_trace,
-                              monitor=monitor)
+                              monitor_config=monitor_config)
     raise ValueError(f"unknown LLM scheduler {kind!r}; "
                      f"known: {', '.join(LLM_SCHEDULERS)}")

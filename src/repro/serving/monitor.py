@@ -1,34 +1,45 @@
-"""Streaming fleet monitoring: interval sampling, SLO burn-rate alerts.
+"""Streaming fleet monitoring, read out of a finished run's columns.
 
-The fleet simulator used to be a batch scorer — one
-:class:`~repro.serving.metrics.ServingReport` at the end of the run.
-This module turns it into a *monitored service*: the event loop feeds
-lifecycle hooks into a :class:`FleetMonitor` (or :class:`LLMMonitor`
-for the continuous-batching engine), which samples every series on a
-fixed simulated-time grid, evaluates Google-SRE multi-window
-burn-rate rules over the SLO error budget, and emits a versioned
-``repro-monitor-report-v1`` payload that the CLI renders as a terminal
-dashboard (``repro serve --monitor`` / ``repro monitor <report>``) or
-exports as Chrome-trace counter tracks.
+The fleet core (:mod:`repro.serving.scale`) and the LLM batchers
+(:mod:`repro.serving.continuous`) keep what a run did anyway: each
+request's first arrival, model, and reject or completion time with
+its bad flag; the lifecycle log of launches, crashes, recoveries,
+ejects, re-admissions, timeouts and retries; the batchers' per-step
+clock, batch, KV and pending columns and their completion records.
+After the run, :func:`fleet_monitor_payload` and
+:func:`llm_monitor_payload` evaluate those columns on a fixed
+simulated-time grid with numpy: every series is sampled per interval,
+Google-SRE multi-window burn-rate rules are evaluated over the SLO
+error budget, and the result is a versioned ``repro-monitor-report-v1``
+payload that the CLI renders as a terminal dashboard
+(``repro serve --monitor`` / ``repro monitor <report>``) or exports as
+Chrome-trace counter tracks.  Nothing sits in the event loops, so an
+instrumented run produces a byte-identical
+:class:`~repro.serving.metrics.ServingReport` — asserted by
+``tests/test_monitoring.py``.
 
-Monitoring is strictly observational: the hooks never touch the event
-heap, the RNG, or any decision the scheduler makes, so an instrumented
-run produces a byte-identical :class:`ServingReport` — asserted by
-``tests/test_monitoring.py`` and gated at ≤5% overhead by
-``benchmarks/test_perf_eval_pipeline.py``.
+The interval grid
+-----------------
+Boundary *k* sits at ``k * interval_s``.  An event at time *t* belongs
+to the interval its boundary count says: one ``searchsorted`` of
+``t + _EPS`` against the boundaries, so an event stamped exactly on a
+boundary lands in the interval that boundary opens.  Rates count the
+events of an interval per second, gauges take the level after the
+interval's last event, and the latency windows are nearest-rank
+percentiles of a (intervals x histogram bins) count matrix summed over
+the last ``window_intervals`` rows.
 
 The streaming error signal
 --------------------------
 End-of-run accounting learns that a request stuck on a crashed device
 "failed" only when the event heap drains — useless for alerting.  The
-monitor instead keeps a deadline heap: every first-attempt arrival
-pushes ``arrival + slo_s(model)``, and when an interval boundary passes
-a deadline whose request has not completed, the request becomes a
-**bad** event *at its deadline* — so a crash shows up in the burn rate
-one SLO after it happens, while the fleet is still running.  A request
-settles exactly once (deadline miss, rejection, or completion —
-whichever the monitor sees first), so good/bad totals never double
-count.
+monitor instead gives every first-attempt arrival a deadline
+``arrival + slo_s(model)``: a request not completed by the first
+boundary at or after its deadline becomes a **bad** event in that
+interval — so a crash shows up in the burn rate one SLO after it
+happens, while the fleet is still running.  A request settles exactly
+once, in the earlier of its settle event's interval (rejection or
+completion) and its deadline's, so good/bad totals never double count.
 
 Everything is a pure function of ``(REPRO_SEED, inputs)``: sample and
 alert streams are byte-identical between serial and ``--jobs N`` runs,
@@ -40,10 +51,15 @@ monitored :class:`~repro.serving.scale.FleetRun` descriptions (a
 
 from __future__ import annotations
 
-import heapq
+import math
 import os
+import struct
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..runtime.seed import repro_seed
 from ..telemetry.alerts import AlertEngine
@@ -53,12 +69,7 @@ from ..telemetry.slo import (
     default_objective,
     default_rules,
 )
-from ..telemetry.timeseries import (
-    GaugeSampler,
-    RateSampler,
-    SlidingWindowHistogram,
-    TimeSeries,
-)
+from ..telemetry.timeseries import StreamingHistogram, TimeSeries, nearest_rank
 
 MONITOR_SCHEMA = "repro-monitor-report-v1"
 
@@ -106,7 +117,6 @@ def env_int(name: str, default: int) -> int:
         return default
 
 
-
 @dataclass(frozen=True)
 class MonitorConfig:
     """Frozen monitoring parameters (picklable; env-overridable).
@@ -127,8 +137,8 @@ class MonitorConfig:
     drain: bool = True
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0.0:
-            raise ValueError(f"interval_s must be positive, "
+        if not (math.isfinite(self.interval_s) and self.interval_s > 0.0):
+            raise ValueError(f"interval_s must be finite and positive, "
                              f"got {self.interval_s}")
         if self.window_intervals < 1:
             raise ValueError("window_intervals must be >= 1")
@@ -151,398 +161,400 @@ class MonitorConfig:
         )
 
 
-class _MonitorBase:
-    """Interval grid + series registry + settle-once SLO accounting.
+# ---------------------------------------------------------------------------
+# The interval grid
+# ---------------------------------------------------------------------------
+#: Settle-event interval of a request that never had a settle event.
+_NEVER = np.iinfo(np.int64).max
 
-    Subclasses register their series in ``__init__`` (registration
-    order is the report order — keep it deterministic) and feed events
-    through the hooks; the shared machinery closes interval boundaries,
-    rolls the latency windows, evaluates the alert engine, and records
-    per-rule burn-rate series.
+
+def _bounds(interval_s: float, last_s: float) -> np.ndarray:
+    """Boundary times ``k * interval_s`` for ``k = 1..`` past ``last_s``."""
+    count = int(max(last_s, 0.0) / interval_s) + 2
+    return np.arange(1, count + 1) * interval_s
+
+
+def _event_at(bounds: np.ndarray, t_s) -> np.ndarray:
+    """Interval of each event: the boundaries at or before ``t + _EPS``."""
+    return np.searchsorted(bounds, np.asarray(t_s, float) + _EPS,
+                           side="right")
+
+
+def _due_at(bounds: np.ndarray, t_s) -> np.ndarray:
+    """Interval closed by the first boundary at or after each time."""
+    return np.searchsorted(bounds + _EPS, np.asarray(t_s, float),
+                           side="left")
+
+
+def _counts(at: np.ndarray, intervals: int,
+            weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-interval event counts (weighted sums), past-the-end dropped."""
+    keep = at < intervals
+    return np.bincount(at[keep], minlength=intervals,
+                       weights=None if weights is None else weights[keep])
+
+
+def _rate(at: np.ndarray, intervals: int, interval_s: float,
+          weights: Optional[np.ndarray] = None) -> List[float]:
+    """Events (or their weights) per second of each interval."""
+    return (_counts(at, intervals, weights) / interval_s).tolist()
+
+
+def _level(up: np.ndarray, down: np.ndarray, intervals: int,
+           down_weights: Optional[np.ndarray] = None) -> List[float]:
+    """A gauge moved +1 by each ``up`` event and -1 (or -weight) by each
+    ``down`` event, sampled after each interval's last event."""
+    delta = _counts(up, intervals) - _counts(down, intervals, down_weights)
+    return np.cumsum(delta).astype(float).tolist()
+
+
+def _windows(series: Dict[str, TimeSeries], name: str, at: np.ndarray,
+             values: np.ndarray, intervals: int, window: int,
+             weights: Optional[np.ndarray] = None) -> None:
+    """Add ``name.p50/p95/p99``: sliding-window nearest-rank percentiles.
+
+    Values (each seen ``weights`` times, default once) bin through the
+    scalar :class:`StreamingHistogram` rule, once per distinct value, so
+    the bins are those of a histogram fed one sample at a time.  Each
+    interval's window is its row of the cumulative (intervals x
+    occupied bins) count matrix minus the row ``window`` intervals back;
+    an empty window is ``None``, never 0.
     """
+    keep = at < intervals
+    at, values = at[keep], values[keep]
+    if weights is not None:
+        weights = weights[keep]
+    hist = StreamingHistogram()
+    distinct, value_col = np.unique(values, return_inverse=True)
+    occupied, bin_col = np.unique(
+        [hist._bin(v) for v in distinct.tolist()], return_inverse=True)
+    reps = [hist._representative(int(b)) for b in occupied]
+    width = len(occupied)
+    cumulative = np.cumsum(np.bincount(
+        at * width + bin_col[value_col].astype(int), weights,
+        intervals * width).astype(np.int64).reshape(intervals, width),
+        axis=0)
+    windowed = cumulative.copy()
+    windowed[window:] -= cumulative[:-window]
+    total = windowed.sum(axis=1)
+    running = np.cumsum(windowed, axis=1)
+    for q in (50, 95, 99):
+        rank = np.array([nearest_rank(n, q) if n else 0
+                         for n in total.tolist()], int)
+        pick = (running > rank[:, None]).argmax(axis=1) if width else total
+        key = f"{name}.p{q}"
+        series[key] = TimeSeries(key, "percentile", "ms", [
+            reps[b] if n else None
+            for b, n in zip(pick.tolist(), total.tolist())])
 
-    kind = "base"
 
-    def __init__(self, config: MonitorConfig) -> None:
-        self.config = config
-        self.engine = AlertEngine(config.objective, config.rules,
-                                  config.interval_s)
-        self._boundary = 0            # completed intervals
-        self.series: Dict[str, TimeSeries] = {}
-        self._gauges: Dict[str, GaugeSampler] = {}
-        self._rates: Dict[str, RateSampler] = {}
-        self._windows: Dict[str, SlidingWindowHistogram] = {}
-        self._window_pcts: Dict[str, Tuple[int, ...]] = {}
-        self._window_series: Dict[str, Tuple[TimeSeries, ...]] = {}
-        self._next_boundary_s = config.interval_s
-        self._deadlines: List[Tuple[float, int]] = []   # (deadline_s, rid)
-        self._deadline_of: Dict[int, float] = {}
-        self._settled: Set[int] = set()
-        self._good_pending = 0
-        self._bad_pending = 0
-        self._finished = False
+# ---------------------------------------------------------------------------
+# Settle-once SLO accounting, the alert engine, the payload
+# ---------------------------------------------------------------------------
+def _settle(config: MonitorConfig, bounds: np.ndarray,
+            deadline: np.ndarray, rejected: np.ndarray,
+            reject_at: np.ndarray, done: np.ndarray, done_at: np.ndarray,
+            on_time: np.ndarray, closed: int, horizon_s: float):
+    """Settle every request once and run the alert engine over the grid.
+
+    Requests ``rejected`` settle bad in interval ``reject_at``, requests
+    ``done`` in ``done_at`` — good when ``on_time``, an SLO miss when
+    not — unless their deadline's interval comes first: then they are a
+    bad miss there.  ``closed`` intervals passed while events were still
+    arriving; the grid then runs on to cover ``horizon_s`` and every
+    deadline still armed, and — when ``config.drain`` — keeps closing
+    empty intervals until every firing rule resolves, capped at the
+    longest rule window plus its resolve streak.
+
+    Returns the engine, its burn-rate series and the interval of every
+    SLO miss.
+    """
+    event_at = np.full(len(deadline), _NEVER)
+    event_at[rejected] = reject_at
+    event_at[done] = done_at
+    good = np.zeros(len(deadline), bool)
+    good[done] = on_time
+    due = _due_at(bounds, deadline)
+    by_event = event_at <= due
+    at = np.where(by_event, event_at, due)
+    good &= by_event
+    miss = ~by_event
+    miss[done] |= by_event[done] & ~on_time
+    armed = ~by_event & (due >= closed)
+    last = (max(horizon_s, float(deadline[armed].max())) if armed.any()
+            else horizon_s)
+    interval = config.interval_s
+    target = max(closed, -(-int(last * 1e9) // int(interval * 1e9)))
+    span = target + max(
+        -(-int(rule.long_window_s * 1e9) // int(interval * 1e9))
+        + rule.resolve_intervals for rule in config.rules) + 1
+    good_n = _counts(at[good], span)
+    bad_n = _counts(at[~good], span)
+    engine = AlertEngine(config.objective, config.rules, interval)
+    burns: Dict[str, List[float]] = {
+        f"burn.{rule.name}.{window}": []
+        for rule in config.rules for window in ("long", "short")}
+    while engine.intervals < target or (
+            config.drain and engine.any_firing and engine.intervals < span):
+        i = engine.intervals
+        engine.observe(int(good_n[i]), int(bad_n[i]), (i + 1) * interval)
         for rule in config.rules:
-            for window in ("long", "short"):
-                name = f"burn.{rule.name}.{window}"
-                self.series[name] = TimeSeries(name, "burn_rate", "x")
-
-    # -- series registration (call from subclass __init__ only) ------------
-    def _gauge(self, name: str, unit: str) -> None:
-        self._gauges[name] = GaugeSampler()
-        self.series[name] = TimeSeries(name, "gauge", unit)
-
-    def _rate(self, name: str, unit: str = "req/s") -> None:
-        self._rates[name] = RateSampler()
-        self.series[name] = TimeSeries(name, "rate", unit)
-
-    def _window(self, name: str, unit: str = "ms",
-                pcts: Tuple[int, ...] = (50, 95, 99)) -> None:
-        self._windows[name] = SlidingWindowHistogram(
-            self.config.window_intervals)
-        self._window_pcts[name] = pcts
-        keys = []
-        for q in pcts:
-            key = f"{name}.p{q}"
-            self.series[key] = TimeSeries(key, "percentile", unit)
-            keys.append(self.series[key])
-        self._window_series[name] = tuple(keys)
-
-    # -- SLO accounting ----------------------------------------------------
-    def push_deadline(self, rid: int, deadline_s: float) -> None:
-        """Arm the streaming SLO deadline for one request."""
-        heapq.heappush(self._deadlines, (deadline_s, rid))
-        self._deadline_of[rid] = deadline_s
-
-    def settle(self, rid: int, good: bool) -> bool:
-        """Classify a request good/bad exactly once; False if already done."""
-        if rid in self._settled:
-            return False
-        self._settled.add(rid)
-        if good:
-            self._good_pending += 1
-        else:
-            self._bad_pending += 1
-        return True
-
-    def within_deadline(self, rid: int, now_s: float) -> bool:
-        """Whether ``now_s`` beats the request's armed SLO deadline."""
-        deadline = self._deadline_of.get(rid)
-        return deadline is not None and now_s <= deadline + _EPS
-
-    # -- the interval grid -------------------------------------------------
-    def advance(self, now_s: float) -> None:
-        """Close every interval boundary at or before ``now_s``.
-
-        The event loop calls this with the current event time *before*
-        applying the event, so each boundary samples the state as it
-        stood when simulated time passed it.  Idempotent: boundaries
-        close at most once regardless of call pattern, which keeps the
-        sample stream identical under any event batching.  The common
-        case — an event inside the current interval — is a single
-        comparison against the precomputed next boundary, which keeps
-        the per-event cost of monitoring near zero.
-        """
-        if now_s + _EPS < self._next_boundary_s:
-            return
-        interval = self.config.interval_s
-        while (self._boundary + 1) * interval <= now_s + _EPS:
-            self._close_interval((self._boundary + 1) * interval)
-
-    def _on_boundary(self, t_s: float) -> None:
-        """Subclass hook, called first when a boundary closes."""
-
-    def _close_interval(self, t_s: float) -> None:
-        self._on_boundary(t_s)
-        # Expired deadlines of unsettled requests become bad events at
-        # their deadline — the streaming signal a crash produces while
-        # the run is still in flight.
-        while self._deadlines and self._deadlines[0][0] <= t_s + _EPS:
-            _, rid = heapq.heappop(self._deadlines)
-            if self.settle(rid, good=False):
-                self._rates["rate.slo_misses"].bump()
-        interval = self.config.interval_s
-        for name, gauge in self._gauges.items():
-            self.series[name].append(gauge.sample(interval))
-        for name, rate in self._rates.items():
-            self.series[name].append(rate.sample(interval))
-        for name, window in self._windows.items():
-            values = window.percentiles(self._window_pcts[name])
-            for ts, value in zip(self._window_series[name], values):
-                ts.append(value)
-            window.roll()
-        self.engine.observe(self._good_pending, self._bad_pending, t_s)
-        for rule in self.config.rules:
-            burn_long, burn_short = self.engine.burn_rates(rule.name)
-            self.series[f"burn.{rule.name}.long"].append(burn_long)
-            self.series[f"burn.{rule.name}.short"].append(burn_short)
-        self._good_pending = 0
-        self._bad_pending = 0
-        self._boundary += 1
-        self._next_boundary_s = (self._boundary + 1) * interval
-
-    def finish(self, horizon_s: float) -> None:
-        """Flush deadlines, close the final partial interval, drain alerts.
-
-        Advances the grid to cover ``horizon_s`` and every outstanding
-        deadline (so requests stuck forever on a dead device still
-        register their miss), then — when ``config.drain`` — keeps
-        closing empty intervals until every firing rule resolves, capped
-        at the longest rule window plus its resolve streak, so a run
-        that ends mid-incident deterministically records the resolve.
-        """
-        if self._finished:
-            return
-        self._finished = True
-        last = horizon_s
-        for deadline_s, rid in self._deadlines:
-            if rid not in self._settled:
-                last = max(last, deadline_s)
-        interval = self.config.interval_s
-        target = -(-int(last * 1e9) // int(interval * 1e9))  # ceil intervals
-        while self._boundary < target:
-            self._close_interval((self._boundary + 1) * interval)
-        if self.config.drain:
-            cap = max(
-                -(-int(rule.long_window_s * 1e9) // int(interval * 1e9))
-                + rule.resolve_intervals
-                for rule in self.config.rules) + 1
-            drained = 0
-            while self.engine.any_firing and drained < cap:
-                self._close_interval((self._boundary + 1) * interval)
-                drained += 1
-
-    # -- report ------------------------------------------------------------
-    def payload(self, context: Optional[Dict[str, Any]] = None
-                ) -> Dict[str, Any]:
-        """The ``repro-monitor-report-v1`` JSON payload."""
-        engine = self.engine
-        objective = self.config.objective
-        total = engine.good_total + engine.bad_total
-        error_rate = engine.bad_total / total if total else 0.0
-        return {
-            "schema": MONITOR_SCHEMA,
-            "kind": self.kind,
-            "seed": repro_seed(),
-            "interval_s": self.config.interval_s,
-            "window_intervals": self.config.window_intervals,
-            "intervals": engine.intervals,
-            "duration_s": engine.intervals * self.config.interval_s,
-            "context": dict(context or {}),
-            "slo": {
-                "name": objective.name,
-                "target": objective.target,
-                "budget": objective.budget,
-                "good": engine.good_total,
-                "bad": engine.bad_total,
-                "total": total,
-                "error_rate": error_rate,
-                "budget_burned": error_rate / objective.budget,
-            },
-            "rules": [rule.as_dict() for rule in self.config.rules],
-            "series": {name: ts.as_dict()
-                       for name, ts in self.series.items()},
-            "alerts": [event.as_dict() for event in engine.events],
-            "active_alerts": engine.firing_rules(),
-            "counts": engine.counts(),
-        }
+            burn_long, burn_short = engine.burn_rates(rule.name)
+            burns[f"burn.{rule.name}.long"].append(burn_long)
+            burns[f"burn.{rule.name}.short"].append(burn_short)
+    return engine, {name: TimeSeries(name, "burn_rate", "x", samples)
+                    for name, samples in burns.items()}, at[miss]
 
 
-class FleetMonitor(_MonitorBase):
-    """Per-interval sampling hooks for the discrete-event device fleet.
+def _payload(kind: str, config: MonitorConfig, engine: AlertEngine,
+             series: Dict[str, TimeSeries],
+             context: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """The ``repro-monitor-report-v1`` JSON payload."""
+    objective = config.objective
+    total = engine.good_total + engine.bad_total
+    error_rate = engine.bad_total / total if total else 0.0
+    return {
+        "schema": MONITOR_SCHEMA,
+        "kind": kind,
+        "seed": repro_seed(),
+        "interval_s": config.interval_s,
+        "window_intervals": config.window_intervals,
+        "intervals": engine.intervals,
+        "duration_s": engine.intervals * config.interval_s,
+        "context": dict(context or {}),
+        "slo": {
+            "name": objective.name,
+            "target": objective.target,
+            "budget": objective.budget,
+            "good": engine.good_total,
+            "bad": engine.bad_total,
+            "total": total,
+            "error_rate": error_rate,
+            "budget_burned": error_rate / objective.budget,
+        },
+        "rules": [rule.as_dict() for rule in config.rules],
+        "series": {name: ts.as_dict() for name, ts in series.items()},
+        "alerts": [event.as_dict() for event in engine.events],
+        "active_alerts": engine.firing_rules(),
+        "counts": engine.counts(),
+    }
+
+
+# ---------------------------------------------------------------------------
+# The two monitors
+# ---------------------------------------------------------------------------
+#: Lifecycle-log kinds kept for the monitor only, never exported as
+#: trace entries: a batch's completion, a launch lost to a failed
+#: first-touch compile, a queued request pulled by its timeout.
+MONITOR_LOG_KINDS = ("complete", "lost", "dequeue")
+
+
+def fleet_monitor_payload(config: MonitorConfig, *, slo_s: Sequence[float],
+                          devices: int, max_batch: int, policy_kind: str,
+                          born: Sequence[float], arr_t: Sequence[float],
+                          arr_m: Sequence[int], rejected: Sequence[bool],
+                          log: Sequence[Dict[str, Any]],
+                          last_event_s: Optional[float], horizon_s: float,
+                          context: Optional[Dict[str, Any]] = None
+                          ) -> Dict[str, Any]:
+    """The fleet core's monitor report, from one finished run.
+
+    Per slot: first arrival ``born``, latest (re-)arrival ``arr_t`` —
+    the reject time of a ``rejected`` slot — and model index ``arr_m``
+    into ``slo_s``.  ``log`` is the core's lifecycle log in event order
+    (``batch``, ``crash``, ``recover``, ``eject``, ``readmit``,
+    ``timeout``, ``retry`` and the :data:`MONITOR_LOG_KINDS`);
+    ``last_event_s`` is the time of the last event processed (``None``
+    for an empty run) and ``horizon_s`` the makespan.
 
     Series: fleet queue depth, devices down / circuit-breaker-ejected,
-    arrival/completion/rejection/timeout/retry/batch rates, the
-    batcher's launch-trigger mix, windowed p50/p95/p99 end-to-end
-    latency (``None`` on empty windows, never 0), per-rule burn rates,
-    and — filled in at :meth:`finish` from the recorded busy windows —
+    arrival/completion/rejection/SLO-miss/timeout/retry/batch rates,
+    the batcher's launch-trigger mix (full, deadline, greedy, single),
+    windowed p50/p95/p99 end-to-end latency, per-rule burn rates, and
     per-device and fleet-mean utilization with crash-truncated busy
-    time, matching the simulator's refund accounting.
+    windows, matching the simulator's refund accounting.
     """
+    interval = config.interval_s
+    born = np.asarray(born, float)
+    deadline = born + np.asarray(slo_s, float)[np.asarray(arr_m, int)]
+    bounds = _bounds(interval, max(horizon_s, last_event_s or 0.0,
+                                   deadline.max(initial=0.0)))
+    times: Dict[str, List[float]] = defaultdict(list)
+    sizes: List[int] = []             # batch size of each launch
+    lost: List[int] = []              # ... of each launch lost instead
+    busy: List[List[List[float]]] = [[] for _ in range(devices)]
+    done: List[Tuple[List[int], bool]] = []
+    for entry in log:
+        kind, t_s = entry["kind"], entry["t_s"]
+        times[kind].append(t_s)
+        if kind == "batch":
+            sizes.append(entry["batch"])
+            busy[entry["device"]].append([t_s, entry["finish_s"]])
+        elif kind == "lost":
+            lost.append(entry["batch"])
+        elif kind == "complete":
+            done.append((entry["slots"], entry["bad"]))
+        elif kind == "retry":
+            times["rearrive"].append(t_s + entry["backoff_s"])
+        elif kind == "crash":
+            # The refund: truncate the device's in-flight window.
+            windows = busy[entry["device"]]
+            if windows and windows[-1][1] > t_s:
+                windows[-1][1] = max(windows[-1][0], t_s)
 
-    kind = "fleet"
+    def at(kind: str) -> np.ndarray:
+        return _event_at(bounds, times[kind])
 
-    def __init__(self, config: MonitorConfig, slo_s: Dict[str, float],
-                 devices: int) -> None:
-        super().__init__(config)
-        self.slo_s = dict(slo_s)
-        self.devices = devices
-        self._gauge("queue.depth", "requests")
-        self._gauge("devices.down", "devices")
-        self._gauge("devices.ejected", "devices")
-        self._rate("rate.arrivals")
-        self._rate("rate.completions")
-        self._rate("rate.rejections")
-        self._rate("rate.slo_misses")
-        self._rate("rate.timeouts")
-        self._rate("rate.retries")
-        self._rate("rate.batches", "batch/s")
-        for reason in LAUNCH_REASONS:
-            self._rate(f"rate.launch.{reason}", "batch/s")
-        self._window("latency")
-        # Utilization series are computed at finish() from the busy
-        # windows; registered now so report order stays deterministic.
-        self.series["util.mean"] = TimeSeries("util.mean", "gauge",
-                                              "fraction")
-        for index in range(devices):
-            name = f"util.d{index}"
-            self.series[name] = TimeSeries(name, "gauge", "fraction")
-        self._busy: List[List[List[float]]] = [[] for _ in range(devices)]
-        self._down: Set[int] = set()
-        self._ejected: Set[int] = set()
+    rejects = np.flatnonzero(np.asarray(rejected, bool))
+    reject_at = _event_at(bounds, np.asarray(arr_t, float)[rejects])
+    counts = [len(slots) for slots, _ in done]
+    slot = np.fromiter(chain.from_iterable(s for s, _ in done), int,
+                       sum(counts))
+    finish = np.repeat(times["complete"], counts).astype(float)
+    bad = np.repeat([b for _, b in done], counts).astype(bool)
+    done_at = _event_at(bounds, finish)
+    engine, series, miss_at = _settle(
+        config, bounds, deadline, rejects, reject_at, slot, done_at,
+        ~bad & (finish <= deadline[slot] + _EPS),
+        int(_event_at(bounds, last_event_s)) if last_event_s is not None
+        else 0, horizon_s)
+    n = engine.intervals
 
-    # -- lifecycle hooks (called by the serving event core) ----------------
-    def note_arrival(self, rid: int, model: str, now_s: float) -> None:
-        """First-attempt arrival: count it and arm the SLO deadline."""
-        self._rates["rate.arrivals"].bump()
-        self.push_deadline(rid, now_s + self.slo_s[model])
+    arrive_at = _event_at(bounds, born)
+    launch_at = np.concatenate([at("batch"), at("lost")])
+    sizes = np.asarray(sizes + lost, int)
+    series["queue.depth"] = TimeSeries("queue.depth", "gauge", "requests",
+                                       _level(
+        np.concatenate([arrive_at, at("rearrive")]),
+        np.concatenate([reject_at, launch_at, at("dequeue")]), n,
+        np.concatenate([np.ones(len(reject_at)), sizes,
+                        np.ones(len(times["dequeue"]))])))
+    for name, up, down in (("devices.down", "crash", "recover"),
+                           ("devices.ejected", "eject", "readmit")):
+        series[name] = TimeSeries(name, "gauge", "devices",
+                                  _level(at(up), at(down), n))
+    launch_now = policy_kind in ("single", "greedy")
+    reasons = np.where(sizes >= max_batch, "full",
+                       policy_kind if launch_now else "deadline")
+    for name, unit, event in (
+            ("rate.arrivals", "req/s", arrive_at),
+            ("rate.completions", "req/s", done_at),
+            ("rate.rejections", "req/s", reject_at),
+            ("rate.slo_misses", "req/s", miss_at),
+            ("rate.timeouts", "req/s", at("timeout")),
+            ("rate.retries", "req/s", at("retry")),
+            ("rate.batches", "batch/s", at("batch")),
+            *((f"rate.launch.{reason}", "batch/s",
+               launch_at[reasons == reason]) for reason in LAUNCH_REASONS)):
+        series[name] = TimeSeries(name, "rate", unit,
+                                  _rate(event, n, interval))
+    _windows(series, "latency", done_at, (finish - born[slot]) * 1e3, n,
+             config.window_intervals)
 
-    def note_reject(self, rid: int, now_s: float) -> None:
-        """Any shed (verify, breaker, queue full): bad at reject time."""
-        self._rates["rate.rejections"].bump()
-        self.settle(rid, good=False)
-
-    def note_queue(self, delta: int) -> None:
-        self._gauges["queue.depth"].add(delta)
-
-    def note_launch(self, device: int, start_s: float, finish_s: float,
-                    batch: int) -> None:
-        self._rates["rate.batches"].bump()
-        self._busy[device].append([start_s, finish_s])
-
-    def note_launch_reason(self, reason: str) -> None:
-        """Which trigger fired the batch (full, deadline, greedy, single)."""
-        self._rates[f"rate.launch.{reason}"].bump()
-
-    def note_complete(self, rid: int, now_s: float, latency_ms: float,
-                      bad: bool) -> None:
-        self._rates["rate.completions"].bump()
-        self._windows["latency"].observe(latency_ms)
-        good = (not bad) and self.within_deadline(rid, now_s)
-        if self.settle(rid, good=good) and not good:
-            self._rates["rate.slo_misses"].bump()
-
-    def note_timeout(self) -> None:
-        self._rates["rate.timeouts"].bump()
-
-    def note_retry(self) -> None:
-        self._rates["rate.retries"].bump()
-
-    def note_crash(self, device: int, now_s: float) -> None:
-        """Device down; truncate its in-flight busy window (the refund)."""
-        self._down.add(device)
-        self._gauges["devices.down"].set(len(self._down))
-        windows = self._busy[device]
-        if windows and windows[-1][1] > now_s:
-            windows[-1][1] = max(windows[-1][0], now_s)
-
-    def note_recover(self, device: int) -> None:
-        self._down.discard(device)
-        self._gauges["devices.down"].set(len(self._down))
-
-    def note_eject(self, device: int) -> None:
-        self._ejected.add(device)
-        self._gauges["devices.ejected"].set(len(self._ejected))
-
-    def note_readmit(self, device: int) -> None:
-        self._ejected.discard(device)
-        self._gauges["devices.ejected"].set(len(self._ejected))
-
-    def finish(self, horizon_s: float) -> None:
-        super().finish(horizon_s)
-        interval = self.config.interval_s
-        n = self.engine.intervals
-        per_device: List[List[float]] = []
-        for device in range(self.devices):
-            busy = [0.0] * n
-            for start_s, end_s in self._busy[device]:
-                lo = max(0, int(start_s / interval))
-                for i in range(lo, n):
-                    left = i * interval
-                    if left >= end_s:
-                        break
-                    overlap = min(end_s, left + interval) - max(start_s,
-                                                                left)
-                    if overlap > 0.0:
-                        busy[i] += overlap
-            series = [b / interval for b in busy]
-            self.series[f"util.d{device}"].samples = series
-            per_device.append(series)
-        self.series["util.mean"].samples = [
-            sum(col) / self.devices for col in zip(*per_device)
-        ] if per_device and n else []
+    # Utilization from the busy windows, accumulated in event order.
+    per_device: List[List[float]] = []
+    for windows in busy:
+        load = [0.0] * n
+        for start_s, end_s in windows:
+            for i in range(max(0, int(start_s / interval)), n):
+                left = i * interval
+                if left >= end_s:
+                    break
+                overlap = min(end_s, left + interval) - max(start_s, left)
+                if overlap > 0.0:
+                    load[i] += overlap
+        per_device.append([b / interval for b in load])
+    series["util.mean"] = TimeSeries("util.mean", "gauge", "fraction", [
+        sum(col) / devices for col in zip(*per_device)
+    ] if per_device and n else [])
+    for index, samples in enumerate(per_device):
+        name = f"util.d{index}"
+        series[name] = TimeSeries(name, "gauge", "fraction", samples)
+    return _payload("fleet", config, engine, series, context)
 
 
-class LLMMonitor(_MonitorBase):
-    """Per-interval sampling hooks for the LLM batching engines.
+#: The columns of one LLM engine step (a continuous decode step, a
+#: one-shot batch): the engine state from ``start_s`` (active slots, KV
+#: tokens reserved, requests waiting), and what it delivered at
+#: ``end_s`` — ``tokens`` tokens, among them ``gaps`` inter-token gaps
+#: of ``gap_s`` seconds each (every slot that also emitted at the
+#: previous step waited the same gap; a one-shot batch hands over its
+#: members' padded decode steps).
+LLM_STEP_COLUMNS = ("start_s", "end_s", "slots", "kv_tokens", "pending",
+                    "tokens", "gap_s", "gaps")
+#: One packed row of :data:`LLM_STEP_COLUMNS` (native doubles).
+LLM_STEP_ROW = struct.Struct(f"{len(LLM_STEP_COLUMNS)}d")
+
+
+def llm_monitor_payload(config: MonitorConfig, *,
+                        requests: Sequence[Any],
+                        slo_s: Callable[[Any], float],
+                        steps: bytes,
+                        rejects: Sequence[Tuple[float, Any]],
+                        completions: Sequence[Any], horizon_s: float,
+                        context: Optional[Dict[str, Any]] = None
+                        ) -> Dict[str, Any]:
+    """An LLM batcher's monitor report, from one finished run.
+
+    ``steps`` packs one :data:`LLM_STEP_ROW` per engine step;
+    ``rejects`` are ``(t_s, request)`` pairs; each completion's first
+    token came with step ``first_step``.  Every request arms its
+    deadline ``arrival + slo_s(request)`` up front; the engine is idle
+    when it stops.
 
     Series: active decode slots, KV tokens reserved, requests waiting,
-    arrival/completion/rejection/token rates, windowed TTFT / ITL /
-    end-to-end latency percentiles, and the burn-rate pair.  Deadlines
-    (``arrival + slo_s(request)``) are armed up front in :meth:`start`
-    because the whole request list is known before the engine runs.
+    arrival/completion/rejection/SLO-miss/token rates, windowed TTFT /
+    ITL / end-to-end latency percentiles, and the burn-rate pairs.
     """
+    interval = config.interval_s
+    row = {request.rid: i for i, request in enumerate(requests)}
+    arrival = np.array([r.arrival_s for r in requests], float)
+    deadline = arrival + np.array([slo_s(r) for r in requests], float)
+    start, end, slots, kv, pending, tokens, gap, gaps = np.frombuffer(
+        steps, float).reshape(-1, len(LLM_STEP_COLUMNS)).T
+    reject_t = np.array([t for t, _ in rejects], float)
+    stop_s = max(end.max(initial=0.0), reject_t.max(initial=0.0))
+    bounds = _bounds(interval, max(horizon_s, stop_s,
+                                   deadline.max(initial=0.0)))
+    closed = (int(_event_at(bounds, stop_s))
+              if len(end) or len(reject_t) else 0)
+    end_at = _event_at(bounds, end)
+    reject_at = _event_at(bounds, reject_t)
+    done = np.array([row[c.request.rid] for c in completions], int)
+    finish = np.array([c.finish_s for c in completions], float)
+    done_at = _event_at(bounds, finish)
+    engine, series, miss_at = _settle(
+        config, bounds, deadline,
+        np.array([row[r.rid] for _, r in rejects], int), reject_at, done,
+        done_at, finish <= deadline[done] + _EPS, closed, horizon_s)
+    n = engine.intervals
 
-    kind = "llm"
+    # Gauges hold the state of the last step begun by each boundary.
+    pick = np.searchsorted(np.append(_event_at(bounds, start), closed),
+                           np.arange(n), side="right")
+    for name, unit, column in (("slots.active", "slots", slots),
+                               ("kv.reserved", "tokens", kv),
+                               ("queue.pending", "requests", pending)):
+        series[name] = TimeSeries(name, "gauge", unit, np.concatenate(
+            [[0.0], column, [0.0]])[pick].tolist())
+    for name, unit, event, weights in (
+            ("rate.arrivals", "req/s", _due_at(bounds, arrival), None),
+            ("rate.completions", "req/s", done_at, None),
+            ("rate.rejections", "req/s", reject_at, None),
+            ("rate.slo_misses", "req/s", miss_at, None),
+            ("rate.tokens", "tok/s", end_at, tokens)):
+        series[name] = TimeSeries(name, "rate", unit,
+                                  _rate(event, n, interval, weights))
 
-    def __init__(self, config: MonitorConfig) -> None:
-        super().__init__(config)
-        self._gauge("slots.active", "slots")
-        self._gauge("kv.reserved", "tokens")
-        self._gauge("queue.pending", "requests")
-        self._rate("rate.arrivals")
-        self._rate("rate.completions")
-        self._rate("rate.rejections")
-        self._rate("rate.slo_misses")
-        self._rate("rate.tokens", "tok/s")
-        self._window("ttft")
-        self._window("itl")
-        self._window("latency")
-        self._arrivals: List[float] = []
-        self._arrival_head = 0
-
-    def start(self, requests: Sequence[Any], slo_s_fn) -> None:
-        """Arm every request's deadline and arrival time up front."""
-        for request in requests:
-            self.push_deadline(request.rid,
-                               request.arrival_s + slo_s_fn(request))
-        self._arrivals = sorted(r.arrival_s for r in requests)
-        self._arrival_head = 0
-
-    def _on_boundary(self, t_s: float) -> None:
-        count = 0
-        while (self._arrival_head < len(self._arrivals)
-               and self._arrivals[self._arrival_head] <= t_s + _EPS):
-            self._arrival_head += 1
-            count += 1
-        self._rates["rate.arrivals"].bump(count)
-
-    # -- lifecycle hooks (called by the batchers) --------------------------
-    def note_state(self, slots: int, kv_reserved: int,
-                   pending: int) -> None:
-        self._gauges["slots.active"].set(slots)
-        self._gauges["kv.reserved"].set(kv_reserved)
-        self._gauges["queue.pending"].set(pending)
-
-    def note_reject(self, rid: int) -> None:
-        self._rates["rate.rejections"].bump()
-        self.settle(rid, good=False)
-
-    def note_tokens(self, count: int) -> None:
-        self._rates["rate.tokens"].bump(count)
-
-    def note_ttft(self, ttft_s: float) -> None:
-        self._windows["ttft"].observe(ttft_s * 1e3)
-
-    def note_itl(self, itl_s: float) -> None:
-        self._windows["itl"].observe(itl_s * 1e3)
-
-    def note_complete(self, rid: int, now_s: float,
-                      latency_ms: float) -> None:
-        self._rates["rate.completions"].bump()
-        self._windows["latency"].observe(latency_ms)
-        good = self.within_deadline(rid, now_s)
-        if self.settle(rid, good=good) and not good:
-            self._rates["rate.slo_misses"].bump()
+    window = config.window_intervals
+    _windows(series, "ttft",
+             end_at[np.array([c.first_step for c in completions], int)],
+             np.array([c.ttft_s for c in completions], float) * 1e3, n,
+             window)
+    _windows(series, "itl", end_at, gap * 1e3, n, window, gaps)
+    _windows(series, "latency", done_at, (finish - arrival[done]) * 1e3, n,
+             window)
+    return _payload("llm", config, engine, series, context)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 :class:`ScaledFleetSimulator` is the one implementation of the fleet's
 serving semantics — routing, admission, dynamic batching, first-touch
-compiles, fault injection and the resilience policy, the streaming
-monitor, the request-lifecycle trace log, cells and autoscaling.  It is
-built for 1000-device fleets:
+compiles, fault injection and the resilience policy, the
+request-lifecycle log, cells and autoscaling.  It is built for
+1000-device fleets:
 
 * **Interned request records** — requests live in parallel arrays
   (arrival time, model index, one status byte), not objects; a request
@@ -47,9 +47,16 @@ by the plan + ``REPRO_SEED``) and the
 responds: timeouts + retry with exponential backoff and a retry budget,
 tile-granularity re-execution, compile retries, verified downloads,
 eject/re-admit health tracking).  The ``naive`` policy keeps every
-mechanism off.  The monitor and the trace log are observational: with
-either on or off, the :class:`~repro.serving.metrics.ServingReport` is
-byte-identical.
+mechanism off.
+
+The monitor and the trace log are observational.  Either one keeps the
+lifecycle log — launches, completions, crashes, recoveries, ejects,
+re-admissions, timeouts, retries — and nothing else in the loop
+changes; after the run the trace log is its exported part and the
+monitor report (:func:`~repro.serving.monitor.fleet_monitor_payload`)
+is read out of it and the per-slot arrival, model and reject columns.
+With either on or off, the :class:`~repro.serving.metrics.ServingReport`
+is byte-identical.
 
 **Reference contract**: with ``cells=1``, autoscaling off and no fault
 plan, a run is *bit-identical* to the per-request-object reference
@@ -90,7 +97,7 @@ from .metrics import (
     DEFAULT_SLO_MULTIPLIER,
     ServingReport,
 )
-from .monitor import FleetMonitor, MonitorConfig
+from .monitor import MONITOR_LOG_KINDS, MonitorConfig, fleet_monitor_payload
 from .scheduler import (
     AdmissionPolicy,
     BatchPolicy,
@@ -151,9 +158,11 @@ class ScaledFleetSimulator:
     static fleet.  ``fault_plan`` (a
     :class:`~repro.faults.plan.FaultPlan`) and ``resilience`` choose
     what goes wrong and how the fleet responds; ``monitor_config`` (a
-    :class:`~repro.serving.monitor.MonitorConfig`) streams the run into
-    a :class:`~repro.serving.monitor.FleetMonitor`; ``collect_trace``
-    keeps the request-lifecycle log for the trace exporter.
+    :class:`~repro.serving.monitor.MonitorConfig`) has the finished
+    run's columns read into a monitor report by
+    :func:`~repro.serving.monitor.fleet_monitor_payload`;
+    ``collect_trace`` keeps the request-lifecycle log for the trace
+    exporter.
 
     After :meth:`run`: :attr:`payload` holds the
     ``repro-fleet-scale-report-v1`` dictionary, :attr:`monitor_payload`
@@ -208,8 +217,8 @@ class ScaledFleetSimulator:
         flat parallel lists, every per-event step is a handful of list
         index operations, and the only per-request allocations are one
         latency float and (amortised 1/batch) the completion event.
-        Faults, the monitor and the trace log add work only when they
-        are configured.
+        Faults and the lifecycle log add work only when they are
+        configured.
         """
         costs = self.costs
         models = costs.models()
@@ -332,17 +341,13 @@ class ScaledFleetSimulator:
         tl_burn: List[float] = []
         burn_rule = auto.rules[0].name if auto_on else None
 
-        # -- observers -------------------------------------------------
-        mon = None
-        if self.monitor_config is not None:
-            mon = FleetMonitor(self.monitor_config, dict(zip(models, slo)),
-                               ndev)
-        self.monitor_payload = None
+        # -- the lifecycle log (kept for the trace log or the monitor) --
+        monitoring = self.monitor_config is not None
+        keep_log = tracing or monitoring
         tlog: List[Dict[str, Any]] = []
-        self.trace_log = tlog
 
         def trace(kind: str, t_s: float, **extra) -> None:
-            if tracing:
+            if keep_log:
                 tlog.append({"kind": kind, "t_s": t_s, **extra})
 
         def note_fault(kind: str, count: int = 1) -> None:
@@ -493,11 +498,6 @@ class ScaledFleetSimulator:
                 del q[:n]
                 qlen[dev] = lq - n
                 queued_total -= n
-                if mon is not None:
-                    mon.note_launch_reason("full" if n >= limit else
-                                           policy.kind if launch_now else
-                                           "deadline")
-                    mon.note_queue(-n)
                 service = fixed[hm] + var[hm] * n
                 first = hm not in compiled[dev]
                 if inj is None:
@@ -514,6 +514,7 @@ class ScaledFleetSimulator:
                             for r in batch:
                                 status[r] = _FAILED
                             failed += n
+                            trace("lost", now, device=dev, batch=n)
                             continue
                         service += touch
                     if inj.tile_fault(dev, models[hm], launches[dev]):
@@ -540,9 +541,7 @@ class ScaledFleetSimulator:
                 busy_acc[dev] += service
                 batches_sum += n
                 batches_n += 1
-                if mon is not None:
-                    mon.note_launch(dev, now, finish, n)
-                if tracing:
+                if keep_log:
                     trace("batch", now, device=dev, model=models[hm], batch=n,
                           start_s=now, finish_s=finish, compile=first)
                 if n == 1:
@@ -614,8 +613,6 @@ class ScaledFleetSimulator:
                 n_ejected += 1
                 ejects[dev] += 1
                 ejected_total += 1
-                if mon is not None:
-                    mon.note_eject(dev)
                 cooldown_s = resilience.cooldown_s * (
                     resilience.cooldown_growth ** (ejects[dev] - 1))
                 trace("eject", now, device=dev, cooldown_s=cooldown_s)
@@ -631,8 +628,6 @@ class ScaledFleetSimulator:
                     return   # overlapping crash on an already-dead device
                 note_fault("device_crash")
                 trace("crash", now, device=s)
-                if mon is not None:
-                    mon.note_crash(s, now)
                 healthy[s] = 0
                 inflight[s] = None   # its completion event is now stale
                 if busy_until[s] > now:
@@ -648,8 +643,6 @@ class ScaledFleetSimulator:
                     return
                 healthy[s] = 1
                 trace("recover", now, device=s)
-                if mon is not None:
-                    mon.note_recover(s)
                 if dq[s] and busy_until[s] <= now:
                     dispatch(s, now)
             elif kind == _READMIT:
@@ -660,8 +653,6 @@ class ScaledFleetSimulator:
                 failures[s] = 0
                 readmitted_total += 1
                 trace("readmit", now, device=s)
-                if mon is not None:
-                    mon.note_readmit(s)
             else:  # _TIMEOUT of slot s's attempt number ``attempt``
                 state = status[s]
                 if attempts[s] != attempt or (state != _QUEUED
@@ -672,8 +663,6 @@ class ScaledFleetSimulator:
                 rid = req_of[s].rid if req_of is not None else s
                 timeouts += 1
                 trace("timeout", now, device=dev, model=name, rid=rid)
-                if mon is not None:
-                    mon.note_timeout()
                 note_failure(dev, now)
                 if state == _FLIGHT and healthy[dev]:
                     # Still executing on a live device: it will finish —
@@ -684,8 +673,7 @@ class ScaledFleetSimulator:
                     dq[dev].remove(s)
                     qlen[dev] -= 1
                     queued_total -= 1
-                    if mon is not None:
-                        mon.note_queue(-1)
+                    trace("dequeue", now)
                 budget = int(resilience.retry_budget_fraction * offered)
                 attempts[s] = attempt + 1
                 if attempt >= resilience.max_retries or retries >= budget:
@@ -694,8 +682,6 @@ class ScaledFleetSimulator:
                     trace("retry-exhausted", now, model=name, rid=rid)
                     return
                 retries += 1
-                if mon is not None:
-                    mon.note_retry()
                 backoff_s = resilience.backoff_base_s * (2 ** attempt)
                 arr_t[s] = now + backoff_s
                 status[s] = _RETRYING
@@ -787,11 +773,6 @@ class ScaledFleetSimulator:
             if now + _EPS >= next_b:
                 while next_b <= now + _EPS:
                     close_boundary(next_b)
-            if mon is not None:
-                # Close monitor intervals BEFORE applying the event, so
-                # each boundary samples the state as simulated time
-                # actually passed it.
-                mon.advance(now)
             if kind <= _ARRIVAL:
                 # ---- arrival (or retry re-arrival) of slot s -----------
                 m = arr_m[s]
@@ -801,16 +782,12 @@ class ScaledFleetSimulator:
                     queue_sum += qt
                     if qt > queue_max:
                         queue_max = qt
-                    if mon is not None:
-                        mon.note_arrival(s, models[m], now)
                 if require_verified and not verified[m]:
                     rejected += 1
                     verify_rejected += 1
                     status[s] = _REJECTED
                     if tracing:
                         trace("verify-reject", now, model=models[m])
-                    if mon is not None:
-                        mon.note_reject(s, now)
                     if has_follow:
                         follow_up(s, now)
                     continue
@@ -823,8 +800,6 @@ class ScaledFleetSimulator:
                         status[s] = _REJECTED
                         if tracing:
                             trace("shed", now, model=models[m])
-                        if mon is not None:
-                            mon.note_reject(s, now)
                         if has_follow:
                             follow_up(s, now)
                         continue
@@ -872,8 +847,6 @@ class ScaledFleetSimulator:
                     status[s] = _REJECTED
                     if tracing:
                         trace("queue-reject", now, model=models[m])
-                    if mon is not None:
-                        mon.note_reject(s, now)
                     if has_follow:
                         follow_up(s, now)
                     continue
@@ -881,8 +854,6 @@ class ScaledFleetSimulator:
                 dq[dev].append(s)
                 qlen[dev] += 1
                 queued_total += 1
-                if mon is not None:
-                    mon.note_queue(1)
                 if res_active:
                     loc[s] = dev
                     push(heap, (now + timeout_s[m], seq, _TIMEOUT, s,
@@ -903,6 +874,8 @@ class ScaledFleetSimulator:
                     ejects[s] = 0
                 if now > last_finish:
                     last_finish = now
+                if keep_log:
+                    trace("complete", now, slots=batch, bad=bad)
                 for r in batch:
                     status[r] = _DONE
                     lt = now - born[r]
@@ -911,8 +884,6 @@ class ScaledFleetSimulator:
                         bad_completions += 1
                     elif lt <= slo[arr_m[r]]:
                         slo_met += 1
-                    if mon is not None:
-                        mon.note_complete(r, now, lt * 1e3, bad=bad)
                     if has_follow:
                         follow_up(r, now)
                 if dq[s] and busy_until[s] <= now:
@@ -945,18 +916,28 @@ class ScaledFleetSimulator:
         else:
             device_seconds = float(ndev) * makespan
 
-        if mon is not None:
-            mon.finish(makespan)
-            self.monitor_payload = mon.payload(context={
-                "models": list(models),
-                "devices": ndev,
-                "routing": routing,
-                "batch_policy": policy.kind,
-                "resilience": resilience.kind,
-                "fault_plan": plan.name if plan is not None else None,
-                "rate_rps": rate_rps,
-                "duration_s": workload.duration_s,
-            })
+        self.monitor_payload = None
+        if monitoring:
+            self.monitor_payload = fleet_monitor_payload(
+                self.monitor_config, slo_s=slo, devices=ndev,
+                max_batch=limit, policy_kind=policy.kind, born=born,
+                arr_t=arr_t, arr_m=arr_m,
+                rejected=[b == _REJECTED for b in status], log=tlog,
+                # seq counts the events processed: 0 means none ran.
+                last_event_s=now if seq else None, horizon_s=makespan,
+                context={
+                    "models": list(models),
+                    "devices": ndev,
+                    "routing": routing,
+                    "batch_policy": policy.kind,
+                    "resilience": resilience.kind,
+                    "fault_plan": plan.name if plan is not None else None,
+                    "rate_rps": rate_rps,
+                    "duration_s": workload.duration_s,
+                })
+        self.trace_log = [entry for entry in tlog
+                          if entry["kind"] not in MONITOR_LOG_KINDS
+                          ] if tracing else []
 
         horizon = makespan if makespan > 0 else 1.0
         latencies.sort()

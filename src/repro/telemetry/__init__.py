@@ -43,9 +43,6 @@ from .slo import (
 )
 from .spans import SpanRecord, Tracer, span_tree
 from .timeseries import (
-    GaugeSampler,
-    RateSampler,
-    SlidingWindowHistogram,
     StreamingHistogram,
     TimeSeries,
     nearest_rank,
@@ -157,10 +154,7 @@ __all__ = [
     "AlertEvent",
     "BurnRateRule",
     "CounterRegistry",
-    "GaugeSampler",
-    "RateSampler",
     "SLOObjective",
-    "SlidingWindowHistogram",
     "SpanRecord",
     "StreamingHistogram",
     "Telemetry",

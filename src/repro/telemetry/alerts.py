@@ -24,6 +24,7 @@ Semantics (each pinned by a hand-computed scenario in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -84,8 +85,9 @@ class AlertEngine:
 
     def __init__(self, objective: SLOObjective,
                  rules: Tuple[BurnRateRule, ...], interval_s: float) -> None:
-        if interval_s <= 0.0:
-            raise ValueError(f"interval must be positive, got {interval_s}")
+        if not (math.isfinite(interval_s) and interval_s > 0.0):
+            raise ValueError(f"interval must be finite and positive, "
+                             f"got {interval_s}")
         if len({r.name for r in rules}) != len(rules):
             raise ValueError("rule names must be unique")
         self.objective = objective

@@ -1,15 +1,13 @@
-"""Fixed sim-time-interval samplers for streaming fleet monitoring.
+"""Interval-grid primitives for streaming fleet monitoring.
 
 The fleet simulator historically produced one :class:`ServingReport`
 after the run: every latency was appended to a list, the list was
 sorted once at report time, and a single p99 summarised the whole run.
 That is a batch scorer, not a monitored service — tail latency is a
 property of latency *over time under load*, and an autoscaling or
-alerting policy needs a per-interval signal while the run is still in
-flight.
-
-This module provides the primitives the monitor samples on a fixed
-simulated-time grid:
+alerting policy needs a per-interval signal.  The monitor
+(:mod:`repro.serving.monitor`) reads a finished run's columns onto a
+fixed simulated-time grid with these primitives:
 
 * :func:`percentile` — the exact nearest-rank estimator, moved here
   from ``serving/metrics.py`` so the end-of-run report and the
@@ -18,12 +16,9 @@ simulated-time grid:
   Observing is O(1), two histograms merge by adding bin counts, and a
   percentile query walks the (sparse) bins once — no per-interval
   re-sorting of raw samples. The bin growth factor bounds the relative
-  error of any percentile at ``sqrt(growth) - 1``.
-* :class:`SlidingWindowHistogram` — a deque of per-interval histograms;
-  the windowed p99 is the percentile of the *merged* last-W intervals,
-  which is exactly what the mergeable representation makes cheap.
-* :class:`GaugeSampler` / :class:`RateSampler` — level vs. per-second
-  event-count semantics for the non-latency series.
+  error of any percentile at ``sqrt(growth) - 1``.  Its bin rule
+  (``_bin``/``_representative``) is the one the monitor's windowed
+  percentiles bin through.
 * :class:`TimeSeries` — one named, typed column of samples aligned to
   the interval grid (``None`` = no data, distinct from ``0.0``).
 
@@ -35,14 +30,10 @@ fixed seed, picklable, and byte-identical between serial and
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 __all__ = [
-    "GaugeSampler",
-    "RateSampler",
-    "SlidingWindowHistogram",
     "StreamingHistogram",
     "TimeSeries",
     "nearest_rank",
@@ -98,8 +89,9 @@ class StreamingHistogram:
 
     Counts live in a sparse dict, so an interval that saw 3 distinct
     latencies costs 3 entries regardless of sample count, and merging
-    two histograms is a dict-sum — the property the sliding window
-    relies on to avoid re-sorting raw samples every interval.
+    two histograms is a dict-sum — counts add, which is what lets the
+    monitor's sliding windows sum per-interval bin counts instead of
+    re-sorting raw samples every interval.
     """
 
     __slots__ = ("lo", "hi", "growth", "_log_growth", "n_bins", "count",
@@ -178,106 +170,6 @@ class StreamingHistogram:
         return self.count
 
 
-class SlidingWindowHistogram:
-    """Last-W-intervals latency window backed by mergeable histograms.
-
-    Each monitor interval owns one small :class:`StreamingHistogram`;
-    :meth:`roll` retires the current interval into a bounded deque, and
-    a windowed percentile merges the retired intervals plus the live
-    one.  Cost per query is O(window × occupied bins) — independent of
-    how many raw samples the window saw.
-    """
-
-    def __init__(self, window_intervals: int, lo: float = 1e-3,
-                 hi: float = 1e7, growth: float = 1.05) -> None:
-        if window_intervals < 1:
-            raise ValueError("window must span at least one interval")
-        self.window_intervals = int(window_intervals)
-        self._lo, self._hi, self._growth = lo, hi, growth
-        self._closed: Deque[StreamingHistogram] = deque(
-            maxlen=self.window_intervals - 1 or None)
-        if self.window_intervals == 1:
-            self._closed = deque(maxlen=0)
-        self._live = StreamingHistogram(lo, hi, growth)
-
-    def observe(self, value: float, n: int = 1) -> None:
-        """Record a sample into the interval currently being filled."""
-        self._live.observe(value, n)
-
-    def roll(self) -> None:
-        """Close the current interval and start the next one."""
-        self._closed.append(self._live)
-        self._live = StreamingHistogram(self._lo, self._hi, self._growth)
-
-    def merged(self) -> StreamingHistogram:
-        """Union of the live interval and the retained closed intervals."""
-        total = StreamingHistogram(self._lo, self._hi, self._growth)
-        for hist in self._closed:
-            total.merge(hist)
-        total.merge(self._live)
-        return total
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Windowed nearest-rank percentile; ``None`` when the window is empty."""
-        return self.merged().percentile(q)
-
-    def percentiles(self, qs: Sequence[float]) -> List[Optional[float]]:
-        """Several windowed percentiles off a single merge.
-
-        The monitor samples p50/p95/p99 every interval; merging the
-        window once per boundary instead of once per quantile is the
-        difference between 1 and 3 window walks per series.
-        """
-        merged = self.merged()
-        return [merged.percentile(q) for q in qs]
-
-
-class GaugeSampler:
-    """A level: the sample is the value *at* the interval boundary.
-
-    Queue depth, devices down, KV tokens reserved — quantities where
-    the interesting number is the instantaneous state, not a flow.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float = 0.0) -> None:
-        self.value = float(value)
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        self.value += delta
-
-    def sample(self, interval_s: float) -> float:
-        """The level at the boundary (``interval_s`` is ignored)."""
-        return self.value
-
-
-class RateSampler:
-    """A flow: the sample is events-per-second over the closing interval.
-
-    Arrivals, completions, sheds, retries — :meth:`bump` during the
-    interval, and :meth:`sample` converts the pending count to a rate
-    and resets it for the next interval.
-    """
-
-    __slots__ = ("pending",)
-
-    def __init__(self) -> None:
-        self.pending = 0
-
-    def bump(self, n: int = 1) -> None:
-        self.pending += n
-
-    def sample(self, interval_s: float) -> float:
-        """Drain the pending count into a per-second rate."""
-        rate = self.pending / interval_s
-        self.pending = 0
-        return rate
-
-
 @dataclass
 class TimeSeries:
     """One named column of interval-aligned samples.
@@ -291,13 +183,6 @@ class TimeSeries:
     kind: str
     unit: str
     samples: List[Optional[float]] = field(default_factory=list)
-
-    def append(self, value: Optional[float]) -> None:
-        self.samples.append(None if value is None else float(value))
-
-    def last(self) -> Optional[float]:
-        """Most recent sample (``None`` when empty or no data)."""
-        return self.samples[-1] if self.samples else None
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready form for the ``repro-monitor-report-v1`` payload."""

@@ -120,6 +120,10 @@ def test_serve_closed_loop_smoke(capsys):
     ["--devices", "10", "--cells", "3"],
     ["--devices", "3", "--autoscale"],
     ["--monitor", "--monitor-interval", "0"],
+    ["--monitor", "--monitor-interval", "nan"],
+    ["--monitor", "REPRO_MONITOR_INTERVAL=inf"],
+    ["--autoscale", "REPRO_AUTOSCALE_INTERVAL=nan"],
+    ["--llm", "--monitor", "--monitor-interval", "nan"],
     ["--max-batch", "0"],
     ["--model", "nosuch"],
     ["--llm", "--rates", "nan"],
@@ -134,6 +138,10 @@ def test_serve_unreachable_horizon_exits_2(capsys, monkeypatch, flags):
         raise AssertionError("bad arguments must exit before compiling")
     monkeypatch.setattr(ServiceCosts, "resolve", resolve)
     monkeypatch.setattr(LLMServiceCosts, "resolve", resolve)
+    # ``NAME=value`` entries are environment knobs, not flags.
+    for knob in [f for f in flags if f.startswith("REPRO_")]:
+        monkeypatch.setenv(*knob.split("=", 1))
+    flags = [f for f in flags if not f.startswith("REPRO_")]
     assert main(["serve", "--devices", "2"] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("repro serve: ")

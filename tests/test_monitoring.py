@@ -4,13 +4,13 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.runtime import parallel_map
 from repro.serving import (
     BatchPolicy,
     FleetRun,
-    LLMMonitor,
     LLMServiceCosts,
     MonitorConfig,
     OpenLoopPoisson,
@@ -25,14 +25,12 @@ from repro.serving import (
     validate_monitor_report,
 )
 from repro.serving.metrics import ServingReport
+from repro.serving.monitor import _level, _rate, _windows
 from repro.serving.scheduler import ModelCost
 from repro.telemetry import (
     AlertEngine,
     BurnRateRule,
-    GaugeSampler,
-    RateSampler,
     SLOObjective,
-    SlidingWindowHistogram,
     StreamingHistogram,
     budget_burn,
     default_rules,
@@ -139,30 +137,37 @@ def test_streaming_histogram_clamps_and_empty():
         hist.merge(StreamingHistogram(lo=2.0, hi=100.0))
 
 
+def _window_samples(at, values, intervals, window):
+    series = {}
+    _windows(series, "w", np.array(at, int), np.array(values, float),
+             intervals, window)
+    return [series[f"w.p{q}"].samples for q in (50, 95, 99)]
+
+
 def test_sliding_window_forgets_old_intervals():
-    window = SlidingWindowHistogram(window_intervals=3)
-    window.observe(1000.0)
-    window.roll()
-    window.roll()
-    assert window.percentile(99) == pytest.approx(1000.0, rel=0.05)
-    window.roll()  # the 1000ms interval falls out of the 3-interval window
-    assert window.percentile(99) is None
-    window.observe(10.0)
-    qs = (50, 95, 99)
-    assert window.percentiles(qs) == [window.percentile(q) for q in qs]
+    # A 1000 ms sample in interval 0 and a 10 ms one in interval 3,
+    # over a 3-interval window.
+    p50, p95, p99 = _window_samples([0, 3], [1000.0, 10.0], 5, 3)
+    assert p99[:3] == [pytest.approx(1000.0, rel=0.05)] * 3
+    assert p99[3] == pytest.approx(10.0, rel=0.05)   # 1000 ms fell out
+    assert p50[3] == p95[3] == p99[3]
+    assert p99[4] == p99[3]
+    # Binning matches a histogram fed one sample at a time.
+    hist = StreamingHistogram()
+    hist.observe(1000.0)
+    assert p99[0] == hist.percentile(99)
+    # Empty windows are None, never 0; samples past the grid are dropped.
+    assert _window_samples([7], [5.0], 5, 3) == [[None] * 5] * 3
+    assert _window_samples([], [], 2, 1) == [[None] * 2] * 3
 
 
 def test_gauge_and_rate_sampler_semantics():
-    gauge = GaugeSampler()
-    gauge.set(7)
-    gauge.add(-2)
-    assert gauge.sample(0.1) == 5.0
-    assert gauge.sample(0.1) == 5.0   # levels persist across intervals
-    rate = RateSampler()
-    rate.bump()
-    rate.bump(4)
-    assert rate.sample(0.1) == pytest.approx(50.0)
-    assert rate.sample(0.1) == 0.0    # flows reset every interval
+    # Levels persist across intervals: +7 in interval 0, -2 in 1.
+    assert _level(np.array([0] * 7), np.array([1, 1]), 3) == [7.0, 5.0, 5.0]
+    # Flows are per-second counts of each interval's own events; events
+    # past the last interval are dropped.
+    assert _rate(np.array([0, 0, 0, 0, 0, 2, 9]), 3, 0.1) == \
+        [pytest.approx(50.0), 0.0, pytest.approx(10.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +264,9 @@ def test_alert_engine_rejects_bad_config():
                         long_window_s=0.3, short_window_s=0.1)
     with pytest.raises(ValueError):
         AlertEngine(SLOObjective(), (rule, rule), 0.1)  # duplicate names
-    with pytest.raises(ValueError):
-        AlertEngine(SLOObjective(), (rule,), 0.0)
+    for interval_s in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            AlertEngine(SLOObjective(), (rule,), interval_s)
     with pytest.raises(ValueError):
         SLOObjective(target=1.0)
     with pytest.raises(ValueError):
@@ -362,11 +368,11 @@ def test_monitor_counter_events_are_a_valid_trace():
 # ---------------------------------------------------------------------------
 def test_llm_monitor_reports_and_stays_quiet_at_light_load():
     costs = LLMServiceCosts.resolve("gpt2_rms")
-    monitor = LLMMonitor(MonitorConfig(interval_s=0.05))
     requests = llm_poisson_requests(4.0, 4.0, (8, 32), (8, 32), 0)
-    batcher = make_llm_batcher("continuous", costs, monitor=monitor)
+    batcher = make_llm_batcher("continuous", costs,
+                               monitor_config=MonitorConfig(interval_s=0.05))
     report = batcher.run(requests, rate_rps=4.0, duration_s=4.0)
-    payload = monitor.payload(context={"config": "gpt2_rms"})
+    payload = batcher.monitor_payload
     assert validate_monitor_report(payload) == []
     assert payload["kind"] == "llm"
     assert payload["slo"]["total"] == len(requests)
@@ -382,11 +388,13 @@ def test_llm_monitor_is_observational():
     requests = llm_poisson_requests(4.0, 4.0, (8, 32), (8, 32), 0)
     plain = make_llm_batcher("continuous", costs).run(
         requests, rate_rps=4.0, duration_s=4.0)
-    monitored = make_llm_batcher(
-        "continuous", costs,
-        monitor=LLMMonitor(MonitorConfig())).run(
-            requests, rate_rps=4.0, duration_s=4.0)
+    batcher = make_llm_batcher("continuous", costs,
+                               monitor_config=MonitorConfig())
+    monitored = batcher.run(requests, rate_rps=4.0, duration_s=4.0)
     assert plain.as_dict() == monitored.as_dict()
+    assert batcher.monitor_payload["context"] == {
+        "config": "gpt2_rms", "scheduler": "continuous", "rate_rps": 4.0,
+        "duration_s": 4.0}
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +465,8 @@ def test_monitor_config_from_env(monkeypatch):
     assert config.window_intervals == 4
     assert config.objective.target == 0.99
     assert MonitorConfig.from_env(interval_s=0.5).interval_s == 0.5
-    with pytest.raises(ValueError):
-        MonitorConfig(interval_s=0.0)
+    for interval_s in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            MonitorConfig(interval_s=interval_s)
     with pytest.raises(ValueError):
         MonitorConfig(window_intervals=0)

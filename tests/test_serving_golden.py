@@ -53,7 +53,6 @@ from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
     ClosedLoop,
-    LLMMonitor,
     LLMRequest,
     LLMServiceCosts,
     ModelCost,
@@ -236,14 +235,11 @@ def llm_cases():
 
 def run_llm_case(kind, config):
     """One LLM batcher run, monitored + traced, and once plain."""
-    monitor = LLMMonitor(config)
     batcher = make_llm_batcher(kind, LLM_COSTS, max_slots=8,
-                               collect_trace=True, monitor=monitor)
+                               collect_trace=True, monitor_config=config)
     report = batcher.run(_llm_requests(), rate_rps=LLM_RATE,
                          duration_s=LLM_DURATION)
-    payload = monitor.payload(context={
-        "config": LLM_COSTS.config, "scheduler": kind,
-        "rate_rps": LLM_RATE, "duration_s": LLM_DURATION})
+    payload = batcher.monitor_payload
     plain = make_llm_batcher(kind, LLM_COSTS, max_slots=8).run(
         _llm_requests(), rate_rps=LLM_RATE, duration_s=LLM_DURATION)
     return {
