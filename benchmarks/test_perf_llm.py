@@ -37,7 +37,8 @@ def _sweep():
 
     costs = LLMServiceCosts.resolve("gpt2_rms")
     points = llm_grid(costs=costs, duration_s=5.0)
-    return costs, points, run_llm_sweep(points, jobs=1), llm_report
+    runs = run_llm_sweep(points, jobs=1)
+    return costs, points, [report for report, _, _ in runs], llm_report
 
 
 def test_continuous_batching_beats_oneshot_at_slo(benchmark, monkeypatch):
@@ -80,7 +81,8 @@ def test_continuous_batching_beats_oneshot_at_slo(benchmark, monkeypatch):
         light["oneshot"]["ttft_p95_ms"]
 
     # Determinism: --jobs must not change a byte of the report.
-    forked = llm_report(points, run_llm_sweep(points, jobs=2))
+    forked = llm_report(points, [report for report, _, _ in
+                                 run_llm_sweep(points, jobs=2)])
     assert llm_report_json(forked) == llm_report_json(payload)
 
     BENCH_ARTIFACT.write_text(json.dumps({

@@ -133,7 +133,7 @@ class ProgramTrace:
 
 
 def _is_unary(inst: Instruction) -> bool:
-    """Mirror of TandemMachine._is_unary: src2 is never read."""
+    """Mirror of :func:`repro.simulator.alu.is_unary`: src2 is never read."""
     if inst.opcode == Opcode.CALCULUS:
         return True
     return inst.opcode == Opcode.ALU and inst.func in (

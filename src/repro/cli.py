@@ -348,6 +348,8 @@ def cmd_decode(args) -> int:
 
 def _cmd_serve_llm(args) -> int:
     """The ``serve --llm`` path: continuous vs one-shot batching sweep."""
+    from dataclasses import replace
+
     from .llm import (
         llm_grid,
         llm_report,
@@ -361,8 +363,6 @@ def _cmd_serve_llm(args) -> int:
         LLMServiceCosts,
         MonitorConfig,
         default_max_slots,
-        llm_poisson_requests,
-        make_llm_batcher,
         monitoring_enabled,
     )
     from .serving.workload import _check_generator
@@ -403,9 +403,18 @@ def _cmd_serve_llm(args) -> int:
     max_slots = args.slots if args.slots is not None else default_max_slots()
     points = llm_grid(costs=costs, schedulers=schedulers, rates=rates,
                       duration_s=args.duration, max_slots=max_slots)
+    # The observers ride on the sweep's own run of its busiest continuous
+    # point; they never change a report.
+    busiest = max((i for i, p in enumerate(points)
+                   if p.scheduler == "continuous"),
+                  default=len(points) - 1, key=lambda i: points[i].rate_rps)
+    if monitor_config is not None or args.trace_out:
+        points[busiest] = replace(points[busiest],
+                                  collect_trace=bool(args.trace_out),
+                                  monitor_config=monitor_config)
     jobs = args.jobs if args.jobs is not None else 1
-    reports = run_llm_sweep(points, jobs=jobs)
-    payload = llm_report(points, reports)
+    runs = run_llm_sweep(points, jobs=jobs)
+    payload = llm_report(points, [report for report, _, _ in runs])
     problems = validate_llm_report(payload)
     if problems:  # pragma: no cover - internal invariant
         print("repro serve: invalid LLM report:\n  " + "\n  ".join(problems),
@@ -423,24 +432,10 @@ def _cmd_serve_llm(args) -> int:
                    if payload["summary"]["continuous_beats_oneshot"]
                    else "continuous batching does NOT beat one-shot")
         print(verdict)
-    if monitor_config is not None or args.trace_out:
-        # Re-run the busiest continuous point once with the observers
-        # attached (both are observational, so the sweep numbers above
-        # are untouched).
-        busiest = max((p for p in points if p.scheduler == "continuous"),
-                      default=points[-1], key=lambda p: p.rate_rps)
-        batcher = make_llm_batcher(busiest.scheduler, busiest.costs,
-                                   max_slots=busiest.max_slots,
-                                   collect_trace=bool(args.trace_out),
-                                   monitor_config=monitor_config)
-        batcher.run(llm_poisson_requests(
-            busiest.rate_rps, busiest.duration_s, busiest.prompt_range,
-            busiest.output_range, busiest.stream),
-            rate_rps=busiest.rate_rps, duration_s=busiest.duration_s)
+    _, monitor_payload, trace_log = runs[busiest]
     if monitor_config is not None:
         from .serving import validate_monitor_report
         from .telemetry.dashboard import render_dashboard
-        monitor_payload = batcher.monitor_payload
         problems = validate_monitor_report(monitor_payload)
         if problems:  # pragma: no cover - internal invariant
             print("repro serve: invalid monitor report:\n  "
@@ -460,10 +455,10 @@ def _cmd_serve_llm(args) -> int:
             write_trace,
         )
         trace_payload = chrome_trace(
-            [], device_events=llm_trace_events(batcher.trace_log),
+            [], device_events=llm_trace_events(trace_log),
             extra_other_data={"config": args.llm_config,
-                              "scheduler": busiest.scheduler,
-                              "rate_rps": busiest.rate_rps})
+                              "scheduler": points[busiest].scheduler,
+                              "rate_rps": points[busiest].rate_rps})
         write_trace(args.trace_out, trace_payload)
         print(f"wrote {args.trace_out}")
     if args.json:

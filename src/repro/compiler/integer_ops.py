@@ -60,9 +60,12 @@ def from_fixed(x, frac_bits: int = FRAC_BITS):
 # repro.simulator.alu exactly.
 # ---------------------------------------------------------------------------
 def w32(x):
-    """Wrap to signed 32-bit two's-complement range."""
-    x = np.asarray(x, dtype=np.int64) & 0xFFFFFFFF
-    return np.where(x >= 1 << 31, x - (1 << 32), x).astype(np.int64)
+    """Wrap to signed 32-bit two's-complement range.
+
+    The int32 cast keeps the low 32 bits (C truncation), which is the
+    wrap itself.
+    """
+    return np.asarray(x, dtype=np.int64).astype(np.int32).astype(np.int64)
 
 
 def v_add(a, b):
@@ -81,15 +84,20 @@ def v_mul(a, b):
     return w32(np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64))
 
 
-def v_div(a, b):
-    """Elementwise truncating DIV (zero divisor saturates to +/-INT_MAX)."""
+def v_quot(a, b):
+    """Truncating DIV before write-back (``INT_MIN / -1`` is ``2**31``)."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     sat = np.where(a >= 0, (1 << 31) - 1, -(1 << 31))
     safe_b = np.where(b == 0, 1, b)
     q = np.abs(a) // np.abs(safe_b)
     q = np.where((a < 0) != (b < 0), -q, q)
-    return w32(np.where(b == 0, sat, q))
+    return np.where(b == 0, sat, q)
+
+
+def v_div(a, b):
+    """Elementwise truncating DIV (zero divisor saturates to +/-INT_MAX)."""
+    return w32(v_quot(a, b))
 
 
 def v_rshift(a, n):

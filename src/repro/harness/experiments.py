@@ -764,8 +764,8 @@ def llm_serving() -> Experiment:
 
     costs = LLMServiceCosts.resolve("gpt2_rms")
     points = llm_grid(costs=costs)
-    reports = run_llm_sweep(points, jobs=default_jobs())
-    payload = llm_report(points, reports)
+    runs = run_llm_sweep(points, jobs=default_jobs())
+    payload = llm_report(points, [report for report, _, _ in runs])
     cont = payload["summary"]["continuous"]
     oneshot = payload["summary"]["oneshot"]
     rows = payload["rows"]

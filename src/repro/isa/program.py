@@ -10,7 +10,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Optional
 
 from .encoding import EncodingError, is_compute_opcode
 from .instructions import Instruction, decode
@@ -49,14 +49,20 @@ class TandemProgram:
 
     name: str
     instructions: List[Instruction] = field(default_factory=list)
+    #: The packed words as bytes, from :meth:`from_bytes` or the first
+    #: :meth:`words_key`; dropped by :meth:`append`/:meth:`extend`.
+    _words: Optional[bytes] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def append(self, inst: Instruction) -> None:
         """Append one instruction and return it."""
         self.instructions.append(inst)
+        self._words = None
 
     def extend(self, insts: Iterable[Instruction]) -> None:
         """Append a sequence of instructions."""
         self.instructions.extend(insts)
+        self._words = None
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -105,7 +111,20 @@ class TandemProgram:
             raise ProgramDecodeError(
                 f"program blob for {name!r} is {len(blob)} bytes, not a "
                 f"whole number of 32-bit words")
-        return cls.unpack(name, struct.unpack(f"<{len(blob) // 4}I", blob))
+        program = cls.unpack(name, struct.unpack(f"<{len(blob) // 4}I", blob))
+        program._words = bytes(blob)
+        return program
+
+    def words_key(self) -> bytes:
+        """The packed words as bytes, kept from :meth:`from_bytes` or
+        packed once, for memoizing per distinct program.
+
+        An in-place edit of :attr:`instructions` is not seen, so a memo
+        keyed on this must still compare instructions on a hit.
+        """
+        if self._words is None:
+            self._words = self.to_bytes()
+        return self._words
 
     # -- analyses -------------------------------------------------------------
     def opcode_histogram(self) -> Counter:

@@ -12,7 +12,9 @@ Work items are frozen, picklable :class:`LLMSweepPoint` cells carrying
 their own :class:`LLMServiceCosts`, fanned out through
 :func:`repro.runtime.parallel.parallel_map`, every point a pure function
 of ``(REPRO_SEED, point)`` — serial and ``--jobs N`` sweeps produce
-byte-identical reports.  They are the LLM engine's counterpart of the
+byte-identical reports. A point may also ask for the run's monitor
+payload and trace log, so ``serve --llm --monitor`` observes the sweep's
+own run of its busiest point instead of simulating it again.  They are the LLM engine's counterpart of the
 fleet's :class:`~repro.serving.scale.FleetRun`, and stay separate: the
 continuous batcher's decode-step clock and KV-budget admission are not
 events of the fleet core.
@@ -37,6 +39,7 @@ from ..serving.continuous import (
     make_llm_batcher,
 )
 from ..serving.metrics import LLMServingReport
+from ..serving.monitor import MonitorConfig
 
 LLM_SCHEMA = "repro-llm-report-v1"
 
@@ -56,17 +59,30 @@ class LLMSweepPoint:
     prompt_range: Tuple[int, int] = (8, 64)
     output_range: Tuple[int, int] = (4, 64)
     stream: int = 0
+    #: Observers (they never change the report): the trace log and the
+    #: monitor payload of this point's run.
+    collect_trace: bool = False
+    monitor_config: Optional[MonitorConfig] = None
 
 
-def run_llm_point(point: LLMSweepPoint) -> LLMServingReport:
+#: One simulated cell: its report, monitor payload and trace log (the
+#: last two ``None``/empty unless the point asked for them).
+LLMPointRun = Tuple[LLMServingReport, Optional[Dict[str, Any]],
+                    List[Dict[str, Any]]]
+
+
+def run_llm_point(point: LLMSweepPoint) -> LLMPointRun:
     """Simulate one cell (module-level so process pools can pickle)."""
     requests = llm_poisson_requests(point.rate_rps, point.duration_s,
                                     point.prompt_range,
                                     point.output_range, point.stream)
     batcher = make_llm_batcher(point.scheduler, point.costs,
-                               max_slots=point.max_slots)
-    return batcher.run(requests, rate_rps=point.rate_rps,
-                       duration_s=point.duration_s)
+                               max_slots=point.max_slots,
+                               collect_trace=point.collect_trace,
+                               monitor_config=point.monitor_config)
+    report = batcher.run(requests, rate_rps=point.rate_rps,
+                         duration_s=point.duration_s)
+    return report, batcher.monitor_payload, batcher.trace_log
 
 
 def llm_grid(costs: Optional[LLMServiceCosts] = None,
@@ -106,7 +122,7 @@ def llm_grid(costs: Optional[LLMServiceCosts] = None,
 
 
 def run_llm_sweep(points: Sequence[LLMSweepPoint],
-                  jobs: int = 1) -> List[LLMServingReport]:
+                  jobs: int = 1) -> List[LLMPointRun]:
     """All cells, in input order; ``jobs`` fans out across processes."""
     return parallel_map(run_llm_point, list(points), jobs=jobs)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from ..isa import AluFunc, CalculusFunc, ComparisonFunc
+from ..isa import AluFunc, CalculusFunc, ComparisonFunc, Instruction, Opcode
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -78,3 +78,11 @@ def cast_value(value: int, target: str) -> int:
     bits = {"fxp32": 32, "fxp16": 16, "fxp8": 8, "fxp4": 4}[target]
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     return min(max(value, lo), hi)
+
+
+def is_unary(inst: Instruction) -> bool:
+    """True when ``inst`` never reads its ``src2`` operand."""
+    if inst.opcode == Opcode.CALCULUS:
+        return True
+    return inst.opcode == Opcode.ALU and inst.func in (
+        int(AluFunc.MOVE), int(AluFunc.NOT))

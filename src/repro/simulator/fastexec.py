@@ -26,60 +26,107 @@ Three writer classes are proven safe (``supported``):
   an earlier statement already wrote this point's value on the same
   walk, because the forwarded grid is exact per point.
 
+Legality is proved once per execution plan, not per run: the machine's
+plan builder (:func:`repro.simulator.machine.build_plan`) resolves each
+nest's iterator entries, asks ``supported`` whether instruction-major
+order equals point-major order and, if so, ``bind``s every statement to
+its address grids and its one numpy kernel. ``run`` then only executes
+those kernels on a machine's scratchpads.
+
+Write-back matches the scalar ALU: an active DATATYPE_CAST mode clips
+the unwrapped value (a MUL product, a MACC sum, a DIV quotient) and only
+then wraps to 32 bits. An accumulating reduction (MACC or ADD into a
+duplicated destination) saturates at every point under a cast, which one
+vectorized sum cannot express, so such a nest is not ``cast_exact`` and
+the machine replays it point-major while a cast mode is active.
+
 Enabled with ``TandemMachine(..., fast=True)``; equivalence against the
 scalar path is asserted by tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..compiler.integer_ops import (
     v_add,
     v_and,
-    v_div,
     v_lshift,
     v_max,
     v_min,
-    v_mul,
     v_or,
+    v_quot,
     v_rshift,
     v_sub,
     w32,
 )
 from ..isa import AluFunc, CalculusFunc, ComparisonFunc, Instruction, Opcode
+from .alu import is_unary
 
+#: Binary kernels on the value *before* write-back: MUL keeps the 64-bit
+#: product and DIV the unwrapped quotient, as the scalar ALU does, so a
+#: cast mode saturates them before they wrap.
 _BINARY = {
-    AluFunc.ADD: v_add, AluFunc.SUB: v_sub, AluFunc.MUL: v_mul,
-    AluFunc.DIV: v_div, AluFunc.MAX: v_max, AluFunc.MIN: v_min,
+    AluFunc.ADD: v_add, AluFunc.SUB: v_sub, AluFunc.MUL: np.multiply,
+    AluFunc.DIV: v_quot, AluFunc.MAX: v_max, AluFunc.MIN: v_min,
     AluFunc.RSHIFT: v_rshift, AluFunc.LSHIFT: v_lshift,
     AluFunc.AND: v_and, AluFunc.OR: v_or,
 }
-
-#: Accumulation reducers for read-modify-write destinations, with the
-#: combining mode used to prove two same-buffer accumulations commute.
-_REDUCERS = {
-    AluFunc.ADD: lambda x, axes: x.sum(axis=axes),
-    AluFunc.MAX: lambda x, axes: x.max(axis=axes),
-    AluFunc.MIN: lambda x, axes: x.min(axis=axes),
+_CALCULUS = {
+    CalculusFunc.ABS: lambda x: w32(np.abs(x)),
+    CalculusFunc.SIGN: np.sign,
+    CalculusFunc.NEG: lambda x: w32(-x),
 }
+_COMPARE = {
+    ComparisonFunc.EQ: np.equal, ComparisonFunc.NE: np.not_equal,
+    ComparisonFunc.GT: np.greater, ComparisonFunc.GE: np.greater_equal,
+    ComparisonFunc.LT: np.less, ComparisonFunc.LE: np.less_equal,
+}
+
+#: Accumulation modes for read-modify-write destinations, used to prove
+#: two same-buffer accumulations commute.
 _REDUCER_MODE = {AluFunc.ADD: "add", AluFunc.MAX: "max", AluFunc.MIN: "min"}
+
+#: Saturation bounds per DATATYPE_CAST mode (``None``: plain INT32).
+_CAST_BOUNDS = {f"fxp{bits}": (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+                for bits in (16, 8, 4)}
 
 _INJECTIVE, _REDUCTION, _TEMP = "inj", "red", "temp"
 
 
-def _address_grid(entry, counts: Sequence[int]) -> np.ndarray:
-    """Addresses over the whole loop grid, shaped like ``counts``."""
-    addr = np.full(tuple(counts), entry.base, dtype=np.int64)
+def _saturate(values, bounds):
+    """Scalar write-back: clip to the cast width if one is active, else
+    wrap to 32 bits."""
+    if bounds is not None:
+        return np.clip(values, *bounds)
+    return w32(values)
+
+
+def _full(values: np.ndarray, counts: Tuple[int, ...]) -> np.ndarray:
+    """``values`` over the whole loop grid (most already are)."""
+    if values.shape == counts:
+        return values
+    return np.broadcast_to(values, counts)
+
+
+@lru_cache(maxsize=4096)
+def address_grid(base: int, strides: Tuple[int, ...],
+                  counts: Tuple[int, ...]) -> np.ndarray:
+    """Flat, read-only addresses of a walk over the loop grid ``counts``
+    (C order); equal walks share one array across nests and plans."""
+    addr = np.full(counts, base, dtype=np.int64)
     for level, count in enumerate(counts):
-        stride = entry.strides[level] if level < len(entry.strides) else 0
+        stride = strides[level] if level < len(strides) else 0
         if stride:
             shape = [1] * len(counts)
             shape[level] = count
             addr = addr + stride * np.arange(count).reshape(shape)
-    return addr
+    flat = addr.reshape(-1)
+    flat.flags.writeable = False
+    return flat
 
 
 def _walk_key(entry, levels: int) -> Tuple:
@@ -88,25 +135,33 @@ def _walk_key(entry, levels: int) -> Tuple:
     return (entry.base, strides)
 
 
-class FastNestExecutor:
-    """Executes one nest instruction-major; ``supported`` gates use."""
+#: A bound statement: ``kernel(pads, bounds, fwd)`` over the machine's
+#: scratchpad dict, the active cast bounds and this run's forwarded grids.
+Kernel = Callable[[Dict, object, Dict], None]
 
-    def __init__(self, machine, loops: List[Tuple[int, int]],
-                 body: List[Instruction]):
-        self.machine = machine
-        self.counts = [count for _, count in loops] or [1]
+
+class FastNestExecutor:
+    """One nest, instruction-major: ``supported`` gates, ``bind`` resolves
+    once, ``run`` executes on a machine."""
+
+    def __init__(self, counts: Sequence[int], body: Sequence[Instruction],
+                 entries: Dict):
+        self.counts = tuple(counts)
         self.body = body
         self.levels = len(self.counts)
-        #: (ns, walk-key) -> full per-point value grid of a streamed
-        #: temporary, consumed by later same-walk loads in this nest.
-        self._fwd: Dict[Tuple, np.ndarray] = {}
+        #: Operand -> its resolved iterator entry at this nest.
+        self._entries = entries
+        self._kernels: Tuple[Kernel, ...] = ()
+        #: False when a kernel sums a reduction, which a cast mode would
+        #: have to saturate at every point.
+        self.cast_exact = True
 
     # -- legality ----------------------------------------------------------------
     def _entry(self, operand):
-        return self.machine.iter_tables[operand.ns].lookup(operand.iter_idx)
+        return self._entries[operand]
 
     def _reads_of(self, inst: Instruction):
-        if self.machine._is_unary(inst):
+        if is_unary(inst):
             reads = [inst.src1]
         else:
             reads = [inst.src1, inst.src2]
@@ -251,165 +306,202 @@ class FastNestExecutor:
                         return False
         return True
 
-    # -- execution -----------------------------------------------------------------
-    def run(self) -> None:
-        for inst in self.body:
-            self._execute(inst)
+    # -- binding -------------------------------------------------------------------
+    def bind(self) -> None:
+        """Resolve every statement to its grids and kernel, in body order.
+
+        ``forwarded`` tracks the (namespace, walk) keys a streamed
+        temporary has written so far: a later load of one reads the
+        forwarded per-point grid instead of memory.
+        """
+        forwarded: set = set()
+        self._kernels = tuple(self._bind(inst, forwarded)
+                              for inst in self.body)
+
+    def run(self, machine) -> None:
+        """Execute the bound kernels on ``machine``'s scratchpads."""
+        pads = machine.pads.pads
+        bounds = _CAST_BOUNDS.get(machine.cast_mode)
+        fwd: Dict[Tuple, np.ndarray] = {}
+        for kernel in self._kernels:
+            kernel(pads, bounds, fwd)
 
     def _grid(self, entry, counts: Sequence[int]) -> np.ndarray:
-        """Address grid, memoized on the machine per (walk, counts)."""
-        cache = self.machine._grid_cache
-        key = (entry.base, tuple(entry.strides), tuple(counts))
-        grid = cache.get(key)
-        if grid is None:
-            grid = _address_grid(entry, counts)
-            if len(cache) >= 4096:
-                cache.clear()
-            cache[key] = grid
-        return grid
+        return address_grid(entry.base, tuple(entry.strides), tuple(counts))
 
-    def _load(self, operand) -> np.ndarray:
+    def _collapsed(self, reduced: Tuple[int, ...]) -> List[int]:
+        return [1 if level in reduced else count
+                for level, count in enumerate(self.counts)]
+
+    def _loader(self, operand, forwarded: set):
         entry = self._entry(operand)
-        pad = self.machine.pads[operand.ns]
-        forwarded = self._fwd.get(
-            (operand.ns, _walk_key(entry, self.levels)))
-        if forwarded is not None:
-            pad.reads += forwarded.size
-            return forwarded
+        ns = operand.ns
+        key = (ns, _walk_key(entry, self.levels))
+        if key in forwarded:
+            def load(pads, fwd):
+                value = fwd[key]
+                pads[ns].reads += value.size
+                return value
+            return load
         addr = self._grid(entry, self.counts)
-        pad.reads += addr.size
-        return pad.data[addr.reshape(-1)].reshape(addr.shape)
+        shape, size = self.counts, addr.size
 
-    def _cast(self, values: np.ndarray) -> np.ndarray:
-        values = w32(values)
-        if self.machine.cast_mode is not None:
-            bits = {"fxp16": 16, "fxp8": 8, "fxp4": 4}[self.machine.cast_mode]
-            lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-            values = np.clip(values, lo, hi)
-        return values
+        def load(pads, fwd):
+            pad = pads[ns]
+            pad.reads += size
+            return pad.data[addr].reshape(shape)
+        return load
 
-    def _store(self, operand, values: np.ndarray) -> None:
+    def _storer(self, operand, forwarded: set):
         entry = self._entry(operand)
-        pad = self.machine.pads[operand.ns]
-        values = self._cast(values)
+        ns, counts = operand.ns, self.counts
         dup = self._dup_levels(entry)
         if dup:
             # Streamed temporary: forward the full per-point grid to
             # later readers; memory keeps the last point's slice (the
             # point-major final state — duplicate-index fancy assignment
             # would leave the winner unspecified).
-            full = np.broadcast_to(values, tuple(self.counts))
-            self._fwd[(operand.ns, _walk_key(entry, self.levels))] = full
-            pad.writes += full.size
-            last = full[tuple(-1 if level in dup else slice(None)
-                              for level in range(self.levels))]
-            collapsed = [1 if level in dup else count
-                         for level, count in enumerate(self.counts)]
-            addr = self._grid(entry, collapsed)
-            pad.data[addr.reshape(-1)] = np.asarray(last).reshape(-1)
-            return
-        addr = self._grid(entry, self.counts)
-        pad.writes += addr.size
-        pad.data[addr.reshape(-1)] = np.broadcast_to(
-            values, addr.shape).reshape(-1)
+            key = (ns, _walk_key(entry, self.levels))
+            forwarded.add(key)
+            last = tuple(-1 if level in dup else slice(None)
+                         for level in range(self.levels))
+            addr = self._grid(entry, self._collapsed(dup))
 
-    def _reduced_axes(self, operand) -> Tuple[int, ...]:
-        return self._dup_levels(self._entry(operand))
+            def store(pads, bounds, fwd, values):
+                full = _full(_saturate(values, bounds), counts)
+                fwd[key] = full
+                pad = pads[ns]
+                pad.writes += full.size
+                pad.data[addr] = np.asarray(full[last]).reshape(-1)
+            return store
+        addr = self._grid(entry, counts)
+        size = addr.size
 
-    def _execute(self, inst: Instruction) -> None:
-        machine = self.machine
+        def store(pads, bounds, fwd, values):
+            pad = pads[ns]
+            pad.writes += size
+            pad.data[addr] = _full(_saturate(values, bounds),
+                                   counts).reshape(-1)
+        return store
+
+    def _reduced_loader(self, operand, reduced: Tuple[int, ...]):
+        counts = self._collapsed(reduced)
+        addr = self._grid(self._entry(operand), counts)
+        ns, size = operand.ns, addr.size
+        shape = tuple(c for level, c in enumerate(counts)
+                      if level not in reduced)
+
+        def load(pads):
+            pad = pads[ns]
+            pad.reads += size
+            return pad.data[addr].reshape(shape)
+        return load
+
+    def _reduced_storer(self, operand, reduced: Tuple[int, ...]):
+        addr = self._grid(self._entry(operand), self._collapsed(reduced))
+        ns, size = operand.ns, addr.size
+
+        def store(pads, bounds, values):
+            pad = pads[ns]
+            pad.writes += size
+            pad.data[addr] = _saturate(values, bounds).reshape(-1)
+        return store
+
+    def _bind(self, inst: Instruction, forwarded: set) -> Kernel:
+        """One statement's kernel; loads are bound before the store, so a
+        statement never reads its own forwarded grid."""
         if inst.opcode == Opcode.CALCULUS:
-            x = self._load(inst.src1)
-            func = CalculusFunc(inst.func)
-            if func == CalculusFunc.ABS:
-                out = w32(np.abs(x))
-            elif func == CalculusFunc.SIGN:
-                out = np.sign(x).astype(np.int64)
-            else:
-                out = w32(-x)
-            self._store(inst.dst, out)
-            return
+            x = self._loader(inst.src1, forwarded)
+            op = _CALCULUS[CalculusFunc(inst.func)]
+            store = self._storer(inst.dst, forwarded)
+            return lambda pads, bounds, fwd: store(
+                pads, bounds, fwd, op(x(pads, fwd)))
         if inst.opcode == Opcode.COMPARISON:
-            a = self._load(inst.src1)
-            b = self._load(inst.src2)
-            func = ComparisonFunc(inst.func)
-            table = {
-                ComparisonFunc.EQ: a == b, ComparisonFunc.NE: a != b,
-                ComparisonFunc.GT: a > b, ComparisonFunc.GE: a >= b,
-                ComparisonFunc.LT: a < b, ComparisonFunc.LE: a <= b,
-            }
-            self._store(inst.dst, table[func].astype(np.int64))
-            return
+            a = self._loader(inst.src1, forwarded)
+            b = self._loader(inst.src2, forwarded)
+            op = _COMPARE[ComparisonFunc(inst.func)]
+            store = self._storer(inst.dst, forwarded)
+            return lambda pads, bounds, fwd: store(
+                pads, bounds, fwd,
+                op(a(pads, fwd), b(pads, fwd)).astype(np.int64))
 
         func = AluFunc(inst.func)
         if func == AluFunc.MOVE:
-            self._store(inst.dst, self._load(inst.src1))
-            return
+            x = self._loader(inst.src1, forwarded)
+            store = self._storer(inst.dst, forwarded)
+            return lambda pads, bounds, fwd: store(
+                pads, bounds, fwd, x(pads, fwd))
         if func == AluFunc.NOT:
-            self._store(inst.dst, w32(~self._load(inst.src1)))
-            return
+            x = self._loader(inst.src1, forwarded)
+            store = self._storer(inst.dst, forwarded)
+            return lambda pads, bounds, fwd: store(
+                pads, bounds, fwd, w32(~x(pads, fwd)))
         if func == AluFunc.COND_MOVE:
-            flags = self._load(inst.src2) != 0
-            entry = self._entry(inst.dst)
-            addr = self._grid(entry, self.counts).reshape(-1)
-            values = np.broadcast_to(self._load(inst.src1),
-                                     tuple(self.counts)).reshape(-1)
-            mask = np.broadcast_to(flags, tuple(self.counts)).reshape(-1)
-            pad = machine.pads[inst.dst.ns]
-            pad.writes += int(mask.sum())
-            pad.data[addr[mask]] = w32(values)[mask]
-            return
+            return self._bind_cond_move(inst, forwarded)
 
-        reduced = self._reduced_axes(inst.dst)
+        reduced = self._dup_levels(self._entry(inst.dst))
         if reduced and func == AluFunc.MACC:
-            partial = self._load(inst.src1) * self._load(inst.src2)
-            summed = partial.sum(axis=reduced)
-            current = self._load_reduced(inst.dst, reduced)
-            self._store_reduced(inst.dst, w32(current + summed), reduced)
-            return
-        if reduced and func in _REDUCERS and (
+            a = self._loader(inst.src1, forwarded)
+            b = self._loader(inst.src2, forwarded)
+            current = self._reduced_loader(inst.dst, reduced)
+            store = self._reduced_storer(inst.dst, reduced)
+            self.cast_exact = False
+
+            def macc(pads, bounds, fwd):
+                summed = (a(pads, fwd) * b(pads, fwd)).sum(axis=reduced)
+                store(pads, bounds, current(pads) + summed)
+            return macc
+        if reduced and func in _REDUCER_MODE and (
                 inst.src1.ns, _walk_key(self._entry(inst.src1),
                                         self.levels)) == (
                 inst.dst.ns, _walk_key(self._entry(inst.dst), self.levels)):
             # Read-modify-write accumulation: combine src2 over the
             # reduced axes, seeded with the current destination values.
-            src2 = self._load(inst.src2)
-            current = self._load_reduced(inst.dst, reduced)
+            x = self._loader(inst.src2, forwarded)
+            current = self._reduced_loader(inst.dst, reduced)
+            store = self._reduced_storer(inst.dst, reduced)
             if func == AluFunc.ADD:
-                out = w32(current + src2.sum(axis=reduced))
+                self.cast_exact = False
+
+                def combine(cur, src):
+                    return w32(cur + src.sum(axis=reduced))
             elif func == AluFunc.MAX:
-                out = np.maximum(current, src2.max(axis=reduced))
+                def combine(cur, src):
+                    return np.maximum(cur, src.max(axis=reduced))
             else:
-                out = np.minimum(current, src2.min(axis=reduced))
-            self._store_reduced(inst.dst, out, reduced)
-            return
+                def combine(cur, src):
+                    return np.minimum(cur, src.min(axis=reduced))
 
-        a = self._load(inst.src1)
+            def accumulate(pads, bounds, fwd):
+                src = x(pads, fwd)
+                store(pads, bounds, combine(current(pads), src))
+            return accumulate
+
+        a = self._loader(inst.src1, forwarded)
+        b = self._loader(inst.src2, forwarded)
         if func == AluFunc.MACC:
-            b = self._load(inst.src2)
-            self._store(inst.dst, w32(self._load(inst.dst) + a * b))
-            return
-        b = self._load(inst.src2)
-        self._store(inst.dst, _BINARY[func](a, b))
+            acc = self._loader(inst.dst, forwarded)
+            store = self._storer(inst.dst, forwarded)
 
-    def _load_reduced(self, operand, reduced: Tuple[int, ...]) -> np.ndarray:
-        entry = self._entry(operand)
-        counts = [1 if level in reduced else count
-                  for level, count in enumerate(self.counts)]
-        addr = self._grid(entry, counts)
-        pad = self.machine.pads[operand.ns]
-        pad.reads += addr.size
-        return pad.data[addr.reshape(-1)].reshape(
-            tuple(c for level, c in enumerate(counts)
-                  if level not in reduced))
+            def macc_point(pads, bounds, fwd):
+                av, bv = a(pads, fwd), b(pads, fwd)
+                store(pads, bounds, fwd, acc(pads, fwd) + av * bv)
+            return macc_point
+        op = _BINARY[func]
+        store = self._storer(inst.dst, forwarded)
+        return lambda pads, bounds, fwd: store(
+            pads, bounds, fwd, op(a(pads, fwd), b(pads, fwd)))
 
-    def _store_reduced(self, operand, values: np.ndarray,
-                       reduced: Tuple[int, ...]) -> None:
-        entry = self._entry(operand)
-        counts = [1 if level in reduced else count
-                  for level, count in enumerate(self.counts)]
-        addr = self._grid(entry, counts)
-        pad = self.machine.pads[operand.ns]
-        pad.writes += addr.size
-        values = self._cast(values)
-        pad.data[addr.reshape(-1)] = values.reshape(-1)
+    def _bind_cond_move(self, inst: Instruction, forwarded: set) -> Kernel:
+        flags = self._loader(inst.src2, forwarded)
+        values = self._loader(inst.src1, forwarded)
+        addr = self._grid(self._entry(inst.dst), self.counts)
+        ns, counts = inst.dst.ns, self.counts
+
+        def cond_move(pads, bounds, fwd):
+            mask = np.broadcast_to(flags(pads, fwd) != 0, counts).reshape(-1)
+            picked = np.broadcast_to(values(pads, fwd), counts).reshape(-1)
+            pad = pads[ns]
+            pad.writes += int(mask.sum())
+            pad.data[addr[mask]] = _saturate(picked, bounds)[mask]
+        return cond_move

@@ -73,9 +73,6 @@ class IteratorTable:
             )
         return self.entries[idx]
 
-    def clear(self) -> None:
-        self.entries.clear()
-
 
 def build_iterator_tables(entries: int) -> Dict[Namespace, IteratorTable]:
     return {ns: IteratorTable(ns, entries) for ns in Namespace}

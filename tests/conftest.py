@@ -40,3 +40,27 @@ def npu_results():
     """NPU-Tandem end-to-end results for all benchmarks (computed once)."""
     npu = NPUTandem()
     return {name: npu.evaluate(name) for name in MODEL_ORDER}
+
+
+@pytest.fixture
+def nest_paths(monkeypatch):
+    """Per executed loop nest, in order: True when it ran instruction-major
+    (``FastNestExecutor.run``), False when it replayed point-major."""
+    from repro.simulator import TandemMachine
+    from repro.simulator.fastexec import FastNestExecutor
+
+    paths = []
+    fast_run = FastNestExecutor.run
+    point_run = TandemMachine._run_points
+
+    def run(self, machine):
+        paths.append(True)
+        fast_run(self, machine)
+
+    def run_points(self, nest):
+        paths.append(False)
+        point_run(self, nest)
+
+    monkeypatch.setattr(FastNestExecutor, "run", run)
+    monkeypatch.setattr(TandemMachine, "_run_points", run_points)
+    return paths

@@ -154,14 +154,18 @@ def test_poisson_workload_deterministic(monkeypatch):
     assert all(4 <= r.output_tokens <= 64 for r in a)
 
 
+def _reports(points, jobs=1):
+    return [report for report, _, _ in run_llm_sweep(points, jobs=jobs)]
+
+
 def test_sweep_serial_matches_jobs(monkeypatch):
     """Serial and --jobs 2 sweeps serialize to identical bytes."""
     monkeypatch.setenv("REPRO_SEED", "777")
     costs = hand_costs(kv_budget=400)
     points = llm_grid(costs=costs, rates=(20.0, 40.0), duration_s=1.0,
                       max_slots=4)
-    serial = llm_report(points, run_llm_sweep(points, jobs=1))
-    fanned = llm_report(points, run_llm_sweep(points, jobs=2))
+    serial = llm_report(points, _reports(points, jobs=1))
+    fanned = llm_report(points, _reports(points, jobs=2))
     assert llm_report_json(serial) == llm_report_json(fanned)
     assert validate_llm_report(serial) == []
 
@@ -171,7 +175,7 @@ def test_sweep_report_summary_compares_schedulers(monkeypatch):
     costs = hand_costs(kv_budget=400)
     points = llm_grid(costs=costs, rates=(5.0,), duration_s=1.0,
                       max_slots=4)
-    payload = llm_report(points, run_llm_sweep(points))
+    payload = llm_report(points, _reports(points))
     assert set(payload["summary"]) == {"oneshot", "continuous",
                                        "continuous_beats_oneshot"}
     assert payload["schema"] == "repro-llm-report-v1"
@@ -183,7 +187,7 @@ def test_validate_llm_report_catches_problems(monkeypatch):
     costs = hand_costs(kv_budget=400)
     points = llm_grid(costs=costs, rates=(5.0,), duration_s=1.0,
                       max_slots=4)
-    payload = llm_report(points, run_llm_sweep(points))
+    payload = llm_report(points, _reports(points))
     assert validate_llm_report(payload) == []
     assert validate_llm_report([]) != []
     assert validate_llm_report({**payload, "schema": "nope"}) != []

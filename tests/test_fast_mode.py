@@ -9,8 +9,22 @@ import pytest
 
 from repro.compiler import compile_model
 from repro.graph import GraphBuilder
+from repro.isa import (
+    AluFunc,
+    DatatypeConfigFunc,
+    Namespace,
+    Operand,
+    TandemProgram,
+    alu,
+    datatype_cast,
+    iterator_base,
+    iterator_stride,
+    loop_iter,
+    loop_num_inst,
+)
 from repro.models import build_tinynet
 from repro.npu import FunctionalRunner
+from repro.simulator import TandemMachine
 
 
 def _outputs(graph, bindings, fast):
@@ -101,6 +115,68 @@ def test_where_agrees(rng):
 
 
 # ---------------------------------------------------------------------------
+# DATATYPE_CAST: the scalar write-back saturates the unwrapped value
+# (a 64-bit MUL product, a MACC sum) and only then wraps to 32 bits.
+# ---------------------------------------------------------------------------
+def _cast_nest(mode, func, walks, points):
+    """``DATATYPE_CAST mode`` then one ``func`` nest over IBUF1 walks
+    ``(base, stride)`` for iterators 0 (src1), 1 (src2) and 2 (dst)."""
+    program = TandemProgram("cast")
+    program.append(datatype_cast(mode))
+    for idx, (base, stride) in enumerate(walks):
+        program.append(iterator_base(Namespace.IBUF1, idx, base))
+        program.append(iterator_stride(Namespace.IBUF1, idx, stride))
+    program.append(loop_iter(0, points))
+    program.append(loop_num_inst(1))
+    program.append(alu(func, Operand(Namespace.IBUF1, 2),
+                       Operand(Namespace.IBUF1, 0),
+                       Operand(Namespace.IBUF1, 1)))
+    return program
+
+
+def _run_both(program, data, words):
+    outs = []
+    for fast in (False, True):
+        machine = TandemMachine(fast=fast)
+        machine.pads[Namespace.IBUF1].load_block(0, np.array(data))
+        machine.run(program)
+        outs.append(list(machine.pads[Namespace.IBUF1].store_block(0, words)))
+    return outs
+
+
+def test_cast_saturates_a_product_before_wrapping(nest_paths):
+    program = _cast_nest(DatatypeConfigFunc.FXP16, AluFunc.MUL,
+                         [(0, 1), (4, 1), (8, 1)], 4)
+    data = [60000, 70000, -60000, 3, 60000, 70000, 60000, 5, 0, 0, 0, 0]
+    scalar, fast = _run_both(program, data, 12)
+    assert scalar[8:] == [32767, 32767, -32768, 15]
+    assert fast == scalar
+    assert nest_paths == [False, True]  # the fast machine ran it fast
+
+
+def test_cast_saturates_every_accumulation_step(nest_paths):
+    # A MACC dot product saturates at each point under a cast, which a
+    # vectorized sum cannot do: the fast machine replays it point-major.
+    program = _cast_nest(DatatypeConfigFunc.FXP16, AluFunc.MACC,
+                         [(0, 1), (4, 0), (5, 0)], 4)
+    data = [30000, 30000, -30000, -30000, 1, 0]
+    scalar, fast = _run_both(program, data, 6)
+    assert scalar[5] == 32767 - 60000
+    assert fast == scalar
+    assert nest_paths == [False, False]
+
+
+def test_cast_saturates_cond_move(nest_paths):
+    program = _cast_nest(DatatypeConfigFunc.FXP8, AluFunc.COND_MOVE,
+                         [(0, 1), (3, 1), (6, 1)], 3)
+    data = [300, -300, 5, 1, 1, 0, 9, 9, 9]
+    scalar, fast = _run_both(program, data, 9)
+    assert scalar[6:] == [127, -128, 9]
+    assert fast == scalar
+    assert nest_paths == [False, True]
+
+
+# ---------------------------------------------------------------------------
 # Shapes newly covered by the widened hazard checker: streamed recipe
 # temporaries (softmax's i-exp chain), reductions with trailing
 # consumers, and LayerNorm-style ReduceMean chains.
@@ -139,29 +215,19 @@ def test_avgpool_agrees(rng):
 
 
 @pytest.mark.parametrize("op", ["softmax", "gelu", "sigmoid", "tanh"])
-def test_emerging_ops_take_fast_path(op, rng, monkeypatch):
+def test_emerging_ops_take_fast_path(op, rng, nest_paths):
     """The hazard checker must accept every nest in these programs.
 
     Softmax in particular streams its exp-recipe temporaries and
     re-accumulates into reduction registers; before the checker learned
     those patterns it fell back to the scalar interpreter.
     """
-    from repro.simulator.fastexec import FastNestExecutor
-    outcomes = []
-    original = FastNestExecutor.supported
-
-    def spy(self):
-        ok = original(self)
-        outcomes.append(ok)
-        return ok
-
-    monkeypatch.setattr(FastNestExecutor, "supported", spy)
     b = GraphBuilder("t")
     x = b.input("x", (5, 23), dtype="int32")
     graph = b.finish([getattr(b, op)(x)])
     _outputs(graph, {"x": rng.integers(-400, 400, (5, 23))}, fast=True)
-    assert outcomes, "fast path was never consulted"
-    assert all(outcomes), f"{outcomes.count(False)} nests fell back"
+    assert nest_paths, "no nest was executed"
+    assert all(nest_paths), f"{nest_paths.count(False)} nests fell back"
 
 
 def test_fast_mode_actually_faster_on_large_nests(rng):

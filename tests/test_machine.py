@@ -301,3 +301,77 @@ def test_energy_accumulates_components(rng):
         sum([result.energy.alu_pj, result.energy.spad_pj,
              result.energy.loop_addr_pj, result.energy.other_pj,
              result.energy.dram_pj, result.energy.regfile_pj]))
+
+
+# ---------------------------------------------------------------------------
+# Execution plans
+# ---------------------------------------------------------------------------
+def test_each_program_starts_from_empty_iterator_tables():
+    """Iterator configuration does not carry over between programs."""
+    from repro.simulator import IteratorError
+    m = _machine()
+    m.run(_vector_program(AluFunc.ADD, 8))  # configures IBUF1 it0..it2
+    unconfigured = TandemProgram("reads-it0")
+    unconfigured.append(iterator_base(NS.IBUF1, 2, 16))
+    unconfigured.append(iterator_stride(NS.IBUF1, 2, 1))
+    unconfigured.append(loop_iter(0, 8))
+    unconfigured.append(loop_num_inst(1))
+    unconfigured.append(alu(AluFunc.MOVE, Operand(NS.IBUF1, 2),
+                            Operand(NS.IBUF1, 0)))
+    with pytest.raises(IteratorError, match="before configuration"):
+        m.run(unconfigured)
+
+
+def test_plan_memo_is_bounded(monkeypatch):
+    from collections import OrderedDict
+
+    from repro.simulator import machine as machine_mod
+    monkeypatch.setattr(machine_mod, "_PLANS", OrderedDict())
+    monkeypatch.setattr(machine_mod, "PLAN_CACHE_SIZE", 3)
+    m = _machine()
+    programs = [_vector_program(AluFunc.ADD, n) for n in range(1, 6)]
+    for program in programs:
+        m.run(program)
+    assert len(machine_mod._PLANS) == 3
+    newest = [machine_mod.plan_for(p, m.params) for p in programs[2:]]
+    assert list(machine_mod._PLANS.values()) == newest
+
+
+def test_second_session_reuses_plans_with_identical_results(monkeypatch):
+    from collections import OrderedDict
+
+    from repro.compiler import compile_model
+    from repro.models import build_tinynet
+    from repro.npu import FunctionalRunner
+    from repro.simulator import machine as machine_mod
+
+    monkeypatch.setattr(machine_mod, "_PLANS", OrderedDict())
+    built = []
+    build_plan = machine_mod.build_plan
+
+    def spy(program, params):
+        built.append(program.name)
+        return build_plan(program, params)
+
+    monkeypatch.setattr(machine_mod, "build_plan", spy)
+    graph = build_tinynet()
+    rng = np.random.default_rng(7)
+    bindings = {name: rng.integers(-8, 8, spec.shape)
+                for name, spec in graph.tensors.items()
+                if graph.producer(name) is None}
+    model = compile_model(graph)
+
+    def session():
+        runner = FunctionalRunner(model, fast=True)
+        runner.bind(bindings)
+        outs = runner.run({k: v for k, v in bindings.items()
+                           if k in graph.graph_inputs})
+        return ({name: outs[name].tolist() for name in graph.graph_outputs},
+                [(name, r.cycles, r.vector_issues, r.energy)
+                 for name, r in runner.block_results])
+
+    first = session()
+    assert built and len(built) == len(machine_mod._PLANS)
+    built.clear()
+    assert session() == first
+    assert built == []

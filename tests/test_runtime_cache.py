@@ -158,7 +158,7 @@ def test_corrupt_word_blob_invalidates_and_recompiles(fresh_cache):
 
 
 def test_cache_loaded_decode_steps_match_fresh_compiles(tmp_path,
-                                                        monkeypatch):
+                                                        nest_paths):
     """Shared decoded instructions change nothing on the fast path.
 
     A tinyllm session over freshly compiled step programs and one over
@@ -166,24 +166,15 @@ def test_cache_loaded_decode_steps_match_fresh_compiles(tmp_path,
     through fastexec and run the same machine cycles.
     """
     from repro.llm import DecodeSession, get_llm_config
-    from repro.simulator.fastexec import FastNestExecutor
 
     cfg = get_llm_config("tinyllm")
-    original = FastNestExecutor.supported
 
     def session():
-        outcomes = []
-
-        def spy(self):
-            ok = original(self)
-            outcomes.append(ok)
-            return ok
-
-        monkeypatch.setattr(FastNestExecutor, "supported", spy)
+        nest_paths.clear()
         run = DecodeSession(cfg)
         run.prefill([3, 1, 4, 1])
         tokens = run.decode(cfg.max_context - 4)
-        return (tokens, outcomes.count(True), outcomes.count(False),
+        return (tokens, nest_paths.count(True), nest_paths.count(False),
                 [r.machine_cycles for r in run.records])
 
     set_cache(EvalCache(directory=tmp_path / "cache"))
